@@ -20,8 +20,8 @@ from math import comb, isqrt
 
 from .complexes import (
     SimplicialComplex,
+    _vertex_facets,
     f_vector,
-    faces_of_dim,
     is_neighborly,
     is_pure,
     link,
@@ -40,7 +40,7 @@ from .errors import (
     ReconstructionFailure,
     UnknownLemmaError,
 )
-from .homology import beta1_z2
+from .homology import _betti01
 from .walkup import class_membership, kuehnel_solid
 
 __all__ = [
@@ -116,23 +116,6 @@ class VertexBijection:
         return {self.apply(f) for f in x.facets} == set(y.facets)
 
 
-def _is_connected_complex(x: SimplicialComplex) -> bool:
-    # union-find over vertices, merged inside each facet
-    parent: dict[int, int] = {v: v for v in x.vertices}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for f in x.facets:
-        for v in f[1:]:
-            parent[find(v)] = find(f[0])
-    roots = {find(v) for v in x.vertices}
-    return len(roots) == 1
-
-
 def tight_neighborly_check(m: SimplicialComplex) -> TightnessReport:
     """Evaluate the tightness inequality on a connected complex.
 
@@ -142,11 +125,11 @@ def tight_neighborly_check(m: SimplicialComplex) -> TightnessReport:
     """
     if not m.facets:
         raise PreconditionError("empty input")
-    if not _is_connected_complex(m):
+    beta0, beta1 = _betti01(m)
+    if beta0 != 1:
         raise PreconditionError("input must be connected")
     d = m.dim
     f0 = m.num_vertices
-    beta1 = beta1_z2(m)
     lhs = comb(max(f0 - d - 1, 0), 2)
     rhs = comb(d + 2, 2) * beta1
     return TightnessReport(lhs >= rhs, lhs == rhs, lhs, rhs, beta1)
@@ -245,8 +228,7 @@ def _check_vertex_trees(m, g, d, n) -> LemmaReport:
     from .dualgraph import is_tree
 
     expected = n - d
-    for v in m.vertices:
-        ids = [i for i, f in enumerate(g.facets) if v in f]
+    for v, ids in sorted(_vertex_facets(m).items()):
         sub = g.induced(ids)
         if len(ids) != expected or not is_tree(sub):
             return LemmaReport(
@@ -378,10 +360,7 @@ def _pair_counts(x: SimplicialComplex) -> dict:
 
 def _vertex_signatures(x: SimplicialComplex) -> dict:
     pc = _pair_counts(x)
-    fdeg = {v: 0 for v in x.vertices}
-    for f in x.facets:
-        for v in f:
-            fdeg[v] += 1
+    index = _vertex_facets(x)
     profile: dict[int, list] = {v: [] for v in x.vertices}
     for (a, b), c in pc.items():
         profile[a].append(c)
@@ -389,7 +368,7 @@ def _vertex_signatures(x: SimplicialComplex) -> dict:
     sigs = {}
     for v in x.vertices:
         lk = f_vector(link(x, (v,))).counts
-        sigs[v] = (fdeg[v], tuple(sorted(profile[v])), lk)
+        sigs[v] = (len(index[v]), tuple(sorted(profile[v])), lk)
     return sigs
 
 
@@ -485,8 +464,8 @@ def uniqueness_reconstruction(mbar: SimplicialComplex) -> VertexBijection:
     nu = g.num_nodes
     arc_len = big_d + 1
     end_of: dict[int, int] = {}
-    for v in mbar.vertices:
-        positions = {position[i] for i, f in enumerate(g.facets) if v in f}
+    for v, ids in sorted(_vertex_facets(mbar).items()):
+        positions = {position[i] for i in ids}
         if len(positions) != arc_len:
             raise ReconstructionFailure(
                 "arc-check",

@@ -25,14 +25,7 @@ from .complexes import (
     is_pure,
 )
 from .dualgraph import dual_graph, to_dot
-from .errors import (
-    FctFormatError,
-    InadmissibleHandleError,
-    LemmaHypothesisError,
-    PreconditionError,
-    TriManifoldError,
-    UnknownLemmaError,
-)
+from .errors import LemmaHypothesisError, PreconditionError, TriManifoldError
 
 CHECK_NAMES = (
     "pure",
@@ -336,19 +329,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FctFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        UnknownLemmaError,
-        InadmissibleHandleError,
-        PreconditionError,
-        ValueError,
-        OSError,
-    ) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except TriManifoldError as exc:
+    except (TriManifoldError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001

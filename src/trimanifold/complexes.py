@@ -1,8 +1,15 @@
 """Finite abstract simplicial complexes stored by their facets.
 
 A complex is kept as the canonically sorted tuple of its inclusion-maximal
-faces.  Lower-dimensional faces are never materialised up front; they are
-enumerated on demand and memoised per dimension.  Vertex labels are
+faces.  Derived structure is never materialised up front; it is built on
+first use and memoised on the complex, which is immutable:
+
+- the face set of each dimension (:func:`faces_of_dim`);
+- the vertex index, vertex -> ascending ids of the facets containing it;
+- the ridge index, codimension-one face -> ids of the facets containing it.
+
+This module is the only one that finds the facets at a vertex or across a
+ridge; every other module reads the two indices.  Vertex labels are
 arbitrary non-negative integers and survive every operation unchanged;
 algorithms that want dense indices build a local relabelling.
 
@@ -87,8 +94,8 @@ class SimplicialComplex:
     """
 
     facets: tuple[Face, ...]
-    # per-dimension face sets; value writes are idempotent so concurrent
-    # readers at worst recompute
+    # face sets, vertex index and ridge index; value writes are idempotent
+    # so concurrent readers at worst recompute
     _face_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -113,7 +120,9 @@ class SimplicialComplex:
 
     def has_face(self, alpha: Iterable[int]) -> bool:
         a = set(alpha)
-        return any(a.issubset(f) for f in self.facets)
+        if not a:
+            return bool(self.facets)
+        return bool(_facets_containing(self, a))
 
     def __repr__(self) -> str:  # cache never shown
         return f"SimplicialComplex({list(self.facets)!r})"
@@ -183,25 +192,23 @@ def link(x: SimplicialComplex, alpha: Iterable[int]) -> SimplicialComplex:
     a = _as_face(alpha)
     if not a:
         return x
-    aset = set(a)
-    if not x.has_face(a):
+    ids = _facets_containing(x, a)
+    if not ids:
         raise NotAFaceError(f"{a} is not a face")
-    gens = [
-        tuple(v for v in facet if v not in aset)
-        for facet in x.facets
-        if aset.issubset(facet)
-    ]
-    gens = [g for g in gens if g]
-    if not gens:
+    # distinct facets through a stay incomparable once a is removed, so the
+    # generators are already the link's facets
+    gens = sorted(tuple(v for v in x.facets[i] if v not in a) for i in ids)
+    if not gens[0]:
         return EMPTY
-    return from_facets(gens)
+    return SimplicialComplex(tuple(gens))
 
 
 def star(x: SimplicialComplex, v: int) -> SimplicialComplex:
     """Subcomplex generated by the facets containing vertex ``v``."""
-    if v not in x.vertices:
+    ids = _vertex_facets(x).get(v)
+    if not ids:
         raise UnknownVertexError(f"vertex {v} not in complex")
-    return SimplicialComplex(tuple(f for f in x.facets if v in f))
+    return SimplicialComplex(tuple(x.facets[i] for i in ids))
 
 
 def join(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComplex:
@@ -231,12 +238,36 @@ def is_pure(x: SimplicialComplex) -> bool:
     return all(len(f) == d for f in x.facets)
 
 
+def _vertex_facets(x: SimplicialComplex) -> dict:
+    """Memoised map from each vertex to the ascending ids of its facets."""
+    index = x._face_cache.get("vertex_facets")
+    if index is None:
+        index = {}
+        for i, facet in enumerate(x.facets):
+            for v in facet:
+                index.setdefault(v, []).append(i)
+        x._face_cache["vertex_facets"] = index
+    return index
+
+
+def _facets_containing(x: SimplicialComplex, a: Iterable[int]) -> list:
+    """Ascending ids of the facets containing the non-empty vertex set ``a``."""
+    index = _vertex_facets(x)
+    a = set(a)
+    shortest = min((index.get(v, ()) for v in a), key=len)
+    return [i for i in shortest if a.issubset(x.facets[i])]
+
+
 def _ridge_incidence(x: SimplicialComplex) -> dict:
-    """Map each codimension-one face of a pure complex to its facet indices."""
-    ridges: dict[Face, list[int]] = {}
-    for i, facet in enumerate(x.facets):
-        for ridge in itertools.combinations(facet, len(facet) - 1):
-            ridges.setdefault(ridge, []).append(i)
+    """Memoised map from each codimension-one face of a pure complex to its
+    facet ids."""
+    ridges = x._face_cache.get("ridges")
+    if ridges is None:
+        ridges = {}
+        for i, facet in enumerate(x.facets):
+            for ridge in itertools.combinations(facet, len(facet) - 1):
+                ridges.setdefault(ridge, []).append(i)
+        x._face_cache["ridges"] = ridges
     return ridges
 
 

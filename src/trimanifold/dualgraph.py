@@ -10,7 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import Face, SimplicialComplex, _ridge_incidence, is_pure
+from .complexes import (
+    Face,
+    SimplicialComplex,
+    _ridge_incidence,
+    _vertex_facets,
+    is_pure,
+)
 from .errors import PreconditionError, UnknownNodeError
 
 __all__ = [
@@ -182,11 +188,10 @@ def high_degree_set(g: DualGraph) -> frozenset:
 
 def vertex_facet_subgraph(x: SimplicialComplex, v: int) -> DualGraph:
     """Subgraph of the facet graph induced on the facets containing ``v``."""
-    g = dual_graph(x)
-    ids = [i for i, f in enumerate(g.facets) if v in f]
+    ids = _vertex_facets(x).get(v)
     if not ids:
         raise UnknownNodeError(f"vertex {v} occurs in no facet")
-    return g.induced(ids)
+    return dual_graph(x).induced(ids)
 
 
 def to_dot(g: DualGraph, name: str = "dual") -> str:

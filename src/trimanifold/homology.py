@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, boundary_complex, faces_of_dim, is_pure, is_weak_pseudomanifold
+from .complexes import SimplicialComplex, boundary_complex, faces_of_dim, is_weak_pseudomanifold
 from .dualgraph import DualGraph, dual_graph, is_connected
 from .errors import PreconditionError
 
@@ -135,13 +135,19 @@ def betti_z2(x: SimplicialComplex) -> BettiVector:
     )
 
 
+def _betti01(x: SimplicialComplex) -> tuple[int, int]:
+    """Mod-2 (b_0, b_1) of a non-empty complex from the two small boundary ranks."""
+    cc = chain_complex(x, up_to=2)
+    ranks = [m.rank() for m in cc.boundaries] + [0, 0]
+    b1 = len(cc.faces[1]) - ranks[1] - ranks[2] if cc.dim >= 1 else 0
+    return len(cc.faces[0]) - ranks[1], b1
+
+
 def beta1_z2(x: SimplicialComplex) -> int:
     """First mod-2 Betti number alone, from the two small boundary ranks."""
     if x.dim < 1:
         return 0
-    cc = chain_complex(x, up_to=min(2, x.dim))
-    rank2 = cc.boundaries[2].rank() if cc.dim >= 2 else 0
-    return len(cc.faces[1]) - cc.boundaries[1].rank() - rank2
+    return _betti01(x)[1]
 
 
 def beta1_dual_formula(x: SimplicialComplex) -> int:
@@ -157,10 +163,6 @@ def beta1_dual_formula(x: SimplicialComplex) -> int:
     return g.num_edges - g.num_nodes + 1
 
 
-def _oriented_sign(facet, drop_pos: int) -> int:
-    return -1 if drop_pos % 2 else 1
-
-
 def is_orientable(m: SimplicialComplex) -> bool:
     """Propagate facet signs along a spanning tree of the facet graph.
 
@@ -168,7 +170,7 @@ def is_orientable(m: SimplicialComplex) -> bool:
     facets, facet graph connected.  Returns True when a global
     orientation assignment is consistent across every shared ridge.
     """
-    if not m.facets or not is_pure(m) or not is_weak_pseudomanifold(m):
+    if not m.facets or not is_weak_pseudomanifold(m):
         raise PreconditionError("orientability needs a pure weak pseudomanifold")
     if boundary_complex(m).facets:
         raise PreconditionError("orientability check requires a closed complex")
@@ -178,14 +180,13 @@ def is_orientable(m: SimplicialComplex) -> bool:
     if m.dim == 0:
         return True
     # relative parity demanded by one shared ridge: facets must induce
-    # opposite orientations on it
+    # opposite orientations on it, and dropping position p carries sign (-1)^p
     def relation(i: int, j: int) -> int:
         fi, fj = g.facets[i], g.facets[j]
         shared = set(fi) & set(fj)
-        a = next(v for v in fi if v not in shared)
-        b = next(v for v in fj if v not in shared)
-        sign = _oriented_sign(fi, fi.index(a)) * _oriented_sign(fj, fj.index(b))
-        return -sign
+        a = next(p for p, v in enumerate(fi) if v not in shared)
+        b = next(p for p, v in enumerate(fj) if v not in shared)
+        return 1 if (a + b) % 2 else -1
     signs: dict[int, int] = {0: 1}
     stack = [0]
     while stack:

@@ -2,12 +2,21 @@
 that move between them.
 
 Recognition of stacked spheres works by reverse subdivision: a vertex
-whose link is the boundary of a simplex is removed and its star replaced
-by the single sealing facet.  Greedy peeling in vertex order is expected
-to succeed on genuine stacked spheres, but the search is organised as a
-depth-first exploration over peel choices with failure memoisation, so a
-greedy dead end is retried along other orders before ``False`` comes
-back.
+whose link is the boundary of a simplex on a vertex set H, with H not
+already a facet, is removed and its star replaced by the sealing facet H.
+Peeling is greedy and never undone, because no peel leads a stacked
+sphere into a dead end.  Let the d-sphere S be the boundary of a stacked
+(d+1)-ball B, and let v have link the boundary of H in S.  For d >= 1
+every vertex of B lies on S, so the link of v in B is a d-ball on the
+d + 1 vertices of H, that is, the simplex H.  So v lies in exactly one
+facet of B, the union of v and H.  H is not in S, so it is an interior
+ridge of B, and that facet is a leaf of the facet tree of B.  Deleting
+the leaf leaves a stacked ball whose boundary is the peeled sphere.
+Conversely every peel undoes a stacking step, so S is stacked exactly
+when peeling in any order ends at the boundary of a simplex.  (Kalai,
+"Rigidity and the lower bound theorem I", Invent. Math. 88, 1987; for
+d = 0 the only closed input is two points, which is already the
+boundary of a simplex.)
 
 The seeded generator uses SplitMix64, a portable 64-bit stream, so a
 fixture built from a seed is reproducible on any platform or language.
@@ -21,7 +30,6 @@ from .complexes import (
     Face,
     SimplicialComplex,
     boundary_complex,
-    f_vector,
     faces_of_dim,
     from_facets,
     is_pure,
@@ -109,20 +117,18 @@ def is_stacked_ball(x: SimplicialComplex) -> bool:
     """Tree-shaped facet graph with the minimal vertex count f_0 = f_d + d."""
     if not x.facets or not is_pure(x):
         return False
-    fv = f_vector(x)
-    d = x.dim
-    if fv.counts[0] != fv.counts[d] + d:
+    if x.num_vertices != len(x.facets) + x.dim:
         return False
     return is_tree(dual_graph(x))
 
 
 def _peel_candidates(facets: frozenset, dd: int):
-    """Vertices removable by reverse subdivision, with star and seal facet."""
+    """Vertices removable by reverse subdivision, in ascending order, each
+    yielded with its star and seal facet."""
     incident: dict[int, list] = {}
     for f in facets:
         for v in f:
             incident.setdefault(v, []).append(f)
-    out = []
     for v in sorted(incident):
         star_v = incident[v]
         if len(star_v) != dd + 1:
@@ -141,44 +147,35 @@ def _peel_candidates(facets: frozenset, dd: int):
             continue
         if seal in facets:
             continue
-        out.append((frozenset(star_v), seal))
-    return out
+        yield frozenset(star_v), seal
 
 
 def is_stacked_sphere(s: SimplicialComplex) -> bool:
     """Recognise boundaries of stacked balls.
 
     The input must be a pure closed weak pseudomanifold; anything else
-    raises :class:`PreconditionError`.  Recognition peels one vertex at a
-    time down to the boundary of a simplex, backtracking over peel
-    choices before giving up.
+    raises :class:`PreconditionError`.  Recognition peels the first
+    removable vertex, over and over, and answers True when the boundary
+    of a simplex is left, False when no vertex is removable before that.
+    Taking the first choice loses nothing: a peel of a stacked sphere
+    always leaves a stacked sphere (see the module docstring).
     """
-    if not s.facets or not is_pure(s) or not is_weak_pseudomanifold(s):
+    if not s.facets or not is_weak_pseudomanifold(s):
         raise PreconditionError("input must be a pure weak pseudomanifold")
     if boundary_complex(s).facets:
         raise PreconditionError("input has a non-empty boundary")
     dd = s.dim
-    dead: set[frozenset] = set()
-
-    def dfs(facets: frozenset) -> bool:
-        if len(facets) == dd + 2:
-            hull: set[int] = set()
-            for f in facets:
-                hull.update(f)
-            if len(hull) == dd + 2:
-                return True
-        if facets in dead:
+    facets = frozenset(s.facets)
+    while len(facets) != dd + 2 or len(set().union(*facets)) != dd + 2:
+        peel = next(_peel_candidates(facets, dd), None)
+        if peel is None:
             return False
-        for star_v, seal in _peel_candidates(facets, dd):
-            if dfs((facets - star_v) | {seal}):
-                return True
-        dead.add(facets)
-        return False
-
-    return dfs(frozenset(s.facets))
+        star_v, seal = peel
+        facets = (facets - star_v) | {seal}
+    return True
 
 
-def class_membership(m: SimplicialComplex, d: int | None = None) -> ClassReport:
+def class_membership(m: SimplicialComplex) -> ClassReport:
     """Classify a pure complex by the shape of its vertex links.
 
     Membership in the closed class needs every vertex link to be a
@@ -188,24 +185,16 @@ def class_membership(m: SimplicialComplex, d: int | None = None) -> ClassReport:
     """
     if not m.facets or not is_pure(m):
         raise PreconditionError("class membership requires a non-empty pure complex")
-    if d is None:
-        d = m.dim
-    elif d != m.dim:
-        raise PreconditionError(f"complex has dimension {m.dim}, not {d}")
     in_k = True
     in_kbar = True
     k_fail: int | None = None
     kbar_fail: int | None = None
     for v in m.vertices:
         lk = link(m, (v,))
-        sphere_ok = False
-        if (
-            lk.facets
-            and is_pure(lk)
-            and is_weak_pseudomanifold(lk)
-            and not boundary_complex(lk).facets
-        ):
+        try:
             sphere_ok = is_stacked_sphere(lk)
+        except PreconditionError:
+            sphere_ok = False
         ball_ok = is_stacked_ball(lk)
         if not sphere_ok and k_fail is None:
             k_fail = v
@@ -218,7 +207,7 @@ def class_membership(m: SimplicialComplex, d: int | None = None) -> ClassReport:
         failing = k_fail
     elif not in_kbar:
         failing = kbar_fail
-    return ClassReport(in_k, in_kbar, failing, d)
+    return ClassReport(in_k, in_kbar, failing, m.dim)
 
 
 def bar_construction(m: SimplicialComplex) -> SimplicialComplex:

@@ -1,15 +1,18 @@
 """Slow-but-simple reference implementations shared across the tests.
 
 Everything here recomputes answers by definition chasing: global subset
-enumeration for faces, dense row reduction for binary ranks, delete-a-node
-sweeps for two-connectivity, and reverse peeling for stacked balls.  The
+enumeration for faces and links, dense row reduction for binary ranks,
+delete-a-node sweeps for two-connectivity, reverse peeling for stacked
+balls and a backtracking peel search for stacked spheres.  The
 point is independence from the fast paths in the package, so agreement is
 evidence rather than circularity.
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 from trimanifold.complexes import (
+    EMPTY,
     SimplicialComplex,
     boundary_complex,
     from_facets,
@@ -32,6 +35,23 @@ def faces_by_enumeration(x: SimplicialComplex, size: int) -> set:
         if any(wanted <= set(f) for f in x.facets):
             found.add(subset)
     return found
+
+
+@lru_cache(maxsize=None)
+def _faces_by_size(x: SimplicialComplex) -> tuple:
+    return tuple(frozenset(faces_by_enumeration(x, k)) for k in range(x.dim + 2))
+
+
+def link_by_definition(x: SimplicialComplex, alpha) -> SimplicialComplex:
+    """Faces disjoint from ``alpha`` whose union with it is a face of ``x``."""
+    a = set(alpha)
+    gens = [
+        tuple(v for v in face if v not in a)
+        for faces in _faces_by_size(x)[len(a) + 1:]
+        for face in faces
+        if a <= set(face)
+    ]
+    return from_facets(gens) if gens else EMPTY
 
 
 def rank_gf2_dense(rows) -> int:
@@ -88,6 +108,40 @@ def peel_stacked_ball(x: SimplicialComplex) -> bool:
             return False
         facets.pop(step)
     return True
+
+
+def stacked_sphere_by_search(s: SimplicialComplex) -> bool:
+    """Recognize a stacked sphere by trying every order of vertex peels.
+
+    A peel removes a vertex whose star is the cone over the boundary of a
+    simplex H, with H not yet a facet, and puts H in its place.  Every
+    peel choice is explored depth first, with dead states remembered, so
+    the answer does not rest on any claim that the order is irrelevant.
+    Meant for small inputs: the recursion is one level per peel.
+    """
+    width = len(s.facets[0])
+    dead = set()
+
+    def peels(facets):
+        for v in sorted({v for f in facets for v in f}):
+            star_v = {f for f in facets if v in f}
+            hull = set().union(*star_v) - {v}
+            seal = tuple(sorted(hull))
+            cone = {tuple(sorted((hull - {w}) | {v})) for w in hull}
+            if len(hull) == width and star_v == cone and seal not in facets:
+                yield (facets - star_v) | {seal}
+
+    def search(facets):
+        if len(facets) == width + 1 and len(set().union(*facets)) == width + 1:
+            return True
+        if facets in dead:
+            return False
+        if any(search(peeled) for peeled in peels(facets)):
+            return True
+        dead.add(facets)
+        return False
+
+    return search(frozenset(s.facets))
 
 
 def path_ball(d: int, m: int) -> SimplicialComplex:

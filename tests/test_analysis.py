@@ -56,12 +56,14 @@ def test_tight_neighborly_spheres_hit_zero_both_sides():
 
 
 def test_tight_neighborly_rejects_disconnected():
-    two = from_facets(
+    two_spheres = from_facets(
         list(boundary_complex(helpers.simplex(3)).facets)
         + list(helpers.shifted(boundary_complex(helpers.simplex(3)), 10).facets)
     )
-    with pytest.raises(PreconditionError):
-        tight_neighborly_check(two)
+    two_points = from_facets([(0,), (1,)])
+    for x in (two_spheres, two_points):
+        with pytest.raises(PreconditionError, match="input must be connected"):
+            tight_neighborly_check(x)
 
 
 def test_parameter_solutions_frozen_lists():

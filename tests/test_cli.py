@@ -6,7 +6,7 @@ import helpers
 from trimanifold import fct
 from trimanifold.cli import main
 from trimanifold.complexes import boundary_complex
-from trimanifold.walkup import kuehnel_solid, kuehnel_torus
+from trimanifold.walkup import kuehnel_solid, kuehnel_torus, random_stacked_ball
 
 
 def run(capsys, *argv):
@@ -70,6 +70,16 @@ def test_check_failing_predicate_exits_one(capsys, tmp_path):
     assert code == 1
     verdicts = {c["id"]: c["holds"] for c in json.loads(out)["checks"]}
     assert verdicts == {"stacked-ball": True, "stacked-sphere": False}
+
+
+def test_check_stacked_sphere_past_a_thousand_peels(capsys, tmp_path):
+    # peeling this sphere takes 1199 steps; a search that recursed once per
+    # peel died on the interpreter's recursion limit with exit 3
+    path = tmp_path / "sphere.fct"
+    fct.write_fct(boundary_complex(random_stacked_ball(3, 1200, seed=0)), path)
+    code, out, err = run(capsys, "check", str(path), "--checks", "stacked-sphere")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["checks"][0]["holds"] is True
 
 
 def test_check_unknown_name_exits_two(capsys, tmp_path):

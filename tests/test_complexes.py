@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -140,6 +142,32 @@ def test_star_collects_incident_facets():
     assert star(x, 2).facets == ((0, 1, 2), (2, 3, 4))
     with pytest.raises(UnknownVertexError):
         star(x, 9)
+
+
+def test_link_star_and_has_face_match_the_definitions():
+    for name, x in helpers.corpus():
+        faces = helpers.faces_by_enumeration(x, 1) | helpers.faces_by_enumeration(x, 2)
+        for alpha in sorted(faces):
+            assert x.has_face(alpha), (name, alpha)
+            lk = helpers.link_by_definition(x, alpha)
+            assert link(x, alpha) == lk, (name, alpha)
+            if len(alpha) == 1:
+                cone = sorted(tuple(sorted(g + alpha)) for g in lk.facets)
+                assert list(star(x, alpha[0]).facets) == (cone or [alpha]), name
+        absent = max(x.vertices) + 1
+        non_face = next(
+            (e for e in combinations(x.vertices, 2) if e not in faces),
+            x.vertices[:1] + (absent,),
+        )
+        for missing in (non_face, (absent,)):
+            assert not x.has_face(missing), (name, missing)
+            with pytest.raises(NotAFaceError):
+                link(x, missing)
+        with pytest.raises(UnknownVertexError):
+            star(x, absent)
+        assert x.has_face(())
+    assert not EMPTY.has_face(())
+    assert not EMPTY.has_face((0,))
 
 
 def test_join_simplices():

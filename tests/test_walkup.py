@@ -5,7 +5,10 @@ from trimanifold.complexes import (
     boundary_complex,
     f_vector,
     faces_of_dim,
+    from_facets,
     is_pseudomanifold,
+    is_weak_pseudomanifold,
+    link,
 )
 from trimanifold.errors import InadmissibleHandleError, PreconditionError
 from trimanifold.homology import betti_z2
@@ -83,6 +86,36 @@ def test_stacked_sphere_recognition():
     assert is_stacked_sphere(boundary_complex(helpers.simplex(4)))
     assert is_stacked_sphere(boundary_complex(helpers.path_ball(3, 6)))
     assert not is_stacked_sphere(kuehnel_torus(3))
+
+
+OCTAHEDRON = from_facets(
+    (a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)
+)
+
+
+def test_stacked_sphere_agrees_with_search():
+    # stacking vertex 6 onto one facet of the octahedron: one peel undoes
+    # it and leaves the octahedron, where no vertex can be peeled
+    stacked_once = from_facets(
+        [f for f in OCTAHEDRON.facets if f != (0, 2, 4)]
+        + [(0, 2, 6), (0, 4, 6), (2, 4, 6)]
+    )
+    cases = [OCTAHEDRON, stacked_once]
+    for d in range(1, 5):
+        for m in (1, 2, 3, 5, 8):
+            for seed in (0, 1):
+                cases.append(boundary_complex(random_stacked_ball(d, m, seed=seed)))
+    for d in (2, 3, 4):
+        torus = kuehnel_torus(d)
+        cases.extend(link(torus, (v,)) for v in torus.vertices)
+    cases.extend(
+        x for _, x in helpers.corpus()
+        if is_weak_pseudomanifold(x) and not boundary_complex(x).facets
+    )
+    for s in cases:
+        assert is_stacked_sphere(s) == helpers.stacked_sphere_by_search(s), s
+    assert not is_stacked_sphere(OCTAHEDRON)
+    assert not is_stacked_sphere(stacked_once)
 
 
 def test_stacked_sphere_needs_a_closed_input():
