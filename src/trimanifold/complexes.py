@@ -136,20 +136,43 @@ def from_facets(faces: Iterable[Iterable[int]]) -> SimplicialComplex:
 
     Faces may arrive in any order with duplicates; faces contained in a
     larger face are absorbed.  At least one non-empty face is required.
+
+    Absorption works through a vertex index.  Faces are taken in groups of
+    equal size, largest first; the largest group is kept whole.  A smaller
+    face is absorbed when one of the kept larger faces through its rarest
+    vertex contains it, the test of :func:`_facets_containing` on the
+    complex being built.  Testing a face of size k costs k index lookups
+    and at most k steps per kept face through its rarest vertex, so the
+    build is near linear in the input when vertex degrees are bounded; a
+    scan of every larger face would be quadratic.
     """
     canon = {_as_face(f) for f in faces}
     canon.discard(())
     if not canon:
         raise EmptyComplexError("at least one non-empty face is required")
-    # faces of equal size never contain one another, so only compare
-    # against the strictly larger faces already kept
-    maximal: list[Face] = []
-    larger: list[set] = []
-    for length in sorted({len(f) for f in canon}, reverse=True):
-        group = [f for f in canon if len(f) == length]
-        kept = [f for f in group if not any(set(f) <= g for g in larger)]
+    groups: dict[int, list[Face]] = {}
+    for f in canon:
+        groups.setdefault(len(f), []).append(f)
+    sizes = sorted(groups, reverse=True)
+    kept = groups[sizes[0]]
+    maximal = list(kept)
+    through: dict[int, list[set]] = {}  # vertex -> kept larger faces on it
+    for length in sizes[1:]:
+        # faces of equal size never contain one another, so a group joins
+        # the index only once it has been tested
+        for f in kept:
+            face = set(f)
+            for v in f:
+                through.setdefault(v, []).append(face)
+        kept = [
+            f
+            for f in groups[length]
+            if not any(
+                g.issuperset(f)
+                for g in min((through.get(v, ()) for v in f), key=len)
+            )
+        ]
         maximal.extend(kept)
-        larger.extend(set(f) for f in kept)
     return SimplicialComplex(tuple(sorted(maximal)))
 
 

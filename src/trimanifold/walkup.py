@@ -24,6 +24,7 @@ fixture built from a seed is reproducible on any platform or language.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from .complexes import (
@@ -338,17 +339,17 @@ def random_stacked_ball(d: int, m: int, seed: int = 0) -> SimplicialComplex:
     state = seed & _MASK64
     first = tuple(range(d + 1))
     facets = [first]
-    boundary: set[Face] = {
+    # boundary ridges, kept sorted; fresh is the largest label so far, so
+    # each new ridge and facet is sorted as built
+    ridges: list[Face] = sorted(
         tuple(u for u in first if u != drop) for drop in first
-    }
+    )
     fresh = d + 1
     for _ in range(m - 1):
         word, state = _splitmix64(state)
-        ridges = sorted(boundary)
-        tau = ridges[word % len(ridges)]
-        facets.append(tuple(sorted(tau + (fresh,))))
-        boundary.remove(tau)
+        tau = ridges.pop(word % len(ridges))
+        facets.append(tau + (fresh,))
         for drop in tau:
-            boundary.add(tuple(u for u in tau if u != drop) + (fresh,))
+            bisect.insort(ridges, tuple(u for u in tau if u != drop) + (fresh,))
         fresh += 1
     return from_facets(facets)

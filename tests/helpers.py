@@ -3,7 +3,8 @@
 Everything here recomputes answers by definition chasing: global subset
 enumeration for faces and links, dense row reduction for binary ranks,
 delete-a-node sweeps for two-connectivity, reverse peeling for stacked
-balls and a backtracking peel search for stacked spheres.  The
+balls, a backtracking peel search for stacked spheres and an all-pairs
+scan for maximal faces.  The
 point is independence from the fast paths in the package, so agreement is
 evidence rather than circularity.
 """
@@ -25,6 +26,21 @@ from trimanifold.walkup import kuehnel_solid, kuehnel_torus, random_stacked_ball
 
 def simplex(d: int) -> SimplicialComplex:
     return from_facets([range(d + 1)])
+
+
+def maximal_faces_by_pairs(faces) -> tuple:
+    """Sorted inclusion-maximal faces, each face tested against every
+    larger face kept before it."""
+    canon = {tuple(sorted(set(f))) for f in faces} - {()}
+    maximal, larger = [], []
+    for length in sorted({len(f) for f in canon}, reverse=True):
+        kept = [
+            f for f in canon
+            if len(f) == length and not any(set(f) <= g for g in larger)
+        ]
+        maximal.extend(kept)
+        larger.extend(set(f) for f in kept)
+    return tuple(sorted(maximal))
 
 
 def faces_by_enumeration(x: SimplicialComplex, size: int) -> set:

@@ -84,6 +84,38 @@ def test_facets_are_mutually_incomparable(faces):
             assert i == j or not a <= b
 
 
+@st.composite
+def layered_faces(draw):
+    """Faces of sizes 1-6 on vertices 0-7, then sub-faces of faces already
+    drawn, so absorption runs several levels deep and the kept faces need
+    not be pure."""
+    faces = draw(st.lists(
+        st.lists(st.integers(0, 7), min_size=1, max_size=6, unique=True),
+        min_size=1,
+        max_size=8,
+    ))
+    for _ in range(draw(st.integers(0, 16))):
+        face = draw(st.sampled_from(faces))
+        faces.append(draw(st.lists(
+            st.sampled_from(face), min_size=1, max_size=len(face), unique=True
+        )))
+    return faces
+
+
+@given(layered_faces())
+def test_from_facets_against_pairwise_scan(faces):
+    assert from_facets(faces).facets == helpers.maximal_faces_by_pairs(faces)
+
+
+def test_from_facets_absorbs_below_a_smaller_face():
+    # (4, 5) and (6,) are absorbed by a triangle, not by the tetrahedron;
+    # (0, 1) and (2,) sit two and three levels below it
+    faces = [(4, 5, 6), (0, 1, 2, 3), (4, 5), (6,), (0, 1), (2,), (7, 8)]
+    want = ((0, 1, 2, 3), (4, 5, 6), (7, 8))
+    assert helpers.maximal_faces_by_pairs(faces) == want
+    assert from_facets(faces).facets == want
+
+
 def test_faces_of_dim_against_enumeration():
     for x in (kuehnel_solid(2), helpers.path_ball(3, 6), kuehnel_torus(3)):
         for k in range(x.dim + 1):

@@ -1,4 +1,7 @@
 import io
+import random
+from itertools import combinations
+from time import perf_counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +9,7 @@ from hypothesis import given, strategies as st
 import helpers
 from trimanifold import fct
 from trimanifold.errors import FctFormatError
-from trimanifold.walkup import kuehnel_solid
+from trimanifold.walkup import kuehnel_solid, random_stacked_ball
 
 
 def test_loads_basic():
@@ -78,3 +81,46 @@ def test_written_bytes_are_deterministic(tmp_path):
     fct.write_fct(kuehnel_solid(4), a)
     fct.write_fct(kuehnel_solid(4), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def _noisy(x, rng, absorbed):
+    """FCT text of ``x`` with noise that parsing must drop: ``absorbed``
+    proper sub-faces of facets (ridges down to vertices), every facet a
+    second time with its vertices shuffled, comments and blank lines."""
+    lines = [" ".join(map(str, f)) for f in x.facets]
+    for f in x.facets:
+        dup = list(f)
+        rng.shuffle(dup)
+        lines.append(" ".join(map(str, dup)) + "  # duplicate")
+    for _ in range(absorbed):
+        f = rng.choice(x.facets)
+        sub = rng.choice(list(combinations(f, rng.randrange(1, len(f)))))
+        lines.append(" ".join(map(str, sub)))
+    lines += ["# comment", "", "   "] * 10
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+def test_noisy_text_loads_like_plain_text():
+    x = random_stacked_ball(3, 300, seed=5)
+    plain = fct.dumps(x)
+    noisy = _noisy(x, random.Random(5), absorbed=900)
+    assert fct.loads(noisy) == fct.loads(plain) == x
+    assert fct.dumps(fct.loads(noisy)) == plain
+
+
+def test_noisy_loads_has_no_size_cliff():
+    # an all-pairs scan would make 10^8 subset tests here, tens of seconds
+    x = random_stacked_ball(3, 20000, seed=1)
+    rng = random.Random(1)
+    ridges = []
+    for _ in range(5000):
+        f = list(rng.choice(x.facets))
+        f.pop(rng.randrange(len(f)))
+        ridges.append(" ".join(map(str, f)) + "\n")
+    text = fct.dumps(x) + "".join(ridges)
+    t0 = perf_counter()
+    loaded = fct.loads(text)
+    dt = perf_counter() - t0
+    assert loaded == x
+    assert dt < 5.0, f"loads took {dt:.2f} s, budget 5 s"

@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 import helpers
+from trimanifold import fct
 from trimanifold.complexes import (
     boundary_complex,
     f_vector,
@@ -36,6 +39,21 @@ def test_splitmix_reference_stream():
         word, state = _splitmix64(state)
         outs.append(word)
     assert tuple(outs) == SPLITMIX_SEED0
+
+
+# sha256 of the FCT text of random_stacked_ball(d, m, seed=7); the stream
+# test above pins the words, these pin which ridge each word picks
+STACKED_BALL_SEED7 = {
+    (3, 1200): "e0584c6e3d0661a99101f422666b52c777462127a354454d18d2a2b15834c692",
+    (4, 800): "2dae1ddbe7066969ff9bcce6383446e6ae1479491b0c22b3e0afc1d5f02c45eb",
+    (5, 500): "86ff7642ba6bb63b1adf9b9fe9ad216235bb403f66031bc826291fbfd1bd307a",
+}
+
+
+@pytest.mark.parametrize("d, m", sorted(STACKED_BALL_SEED7))
+def test_random_stacked_ball_reference_output(d, m):
+    text = fct.dumps(random_stacked_ball(d, m, seed=7))
+    assert hashlib.sha256(text.encode()).hexdigest() == STACKED_BALL_SEED7[d, m]
 
 
 def test_kuehnel_solid_window_facets():
