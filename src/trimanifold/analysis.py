@@ -14,6 +14,7 @@ when the input misses the claim's hypothesis, never passing vacuously.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, isqrt
@@ -21,10 +22,8 @@ from math import comb, isqrt
 from .complexes import (
     SimplicialComplex,
     _vertex_facets,
-    f_vector,
     is_neighborly,
     is_pure,
-    link,
 )
 from .dualgraph import (
     DualGraph,
@@ -348,87 +347,86 @@ def verify_lemma(m: SimplicialComplex, lemma_id: str) -> LemmaReport:
 # --- isomorphism ------------------------------------------------------------
 
 
-def _pair_counts(x: SimplicialComplex) -> dict:
-    counts: dict[tuple, int] = {}
-    for f in x.facets:
-        for i in range(len(f)):
-            for j in range(i + 1, len(f)):
-                key = (f[i], f[j])
-                counts[key] = counts.get(key, 0) + 1
-    return counts
+def _refine(x: SimplicialComplex, y: SimplicialComplex, cx: dict, cy: dict):
+    """Refine the vertex colourings ``cx`` of ``x`` and ``cy`` of ``y``
+    together on the vertex-facet incidence; return the stable pair.
 
-
-def _vertex_signatures(x: SimplicialComplex) -> dict:
-    pc = _pair_counts(x)
-    index = _vertex_facets(x)
-    profile: dict[int, list] = {v: [] for v in x.vertices}
-    for (a, b), c in pc.items():
-        profile[a].append(c)
-        profile[b].append(c)
-    sigs = {}
-    for v in x.vertices:
-        lk = f_vector(link(x, (v,))).counts
-        sigs[v] = (len(index[v]), tuple(sorted(profile[v])), lk)
-    return sigs
+    A facet's colour is the sorted tuple of its vertex colours, a vertex's
+    next colour its old colour with the sorted colours of its facets.  The
+    signatures of both sides are numbered together in sorted order, so a
+    colour means the same thing in ``x`` and ``y``.  A round that adds no
+    colour class ends the refinement.
+    """
+    classes = len(set(cx.values()) | set(cy.values()))
+    while True:
+        sigs = []
+        for z, c in ((x, cx), (y, cy)):
+            facet_colours = [tuple(sorted(c[v] for v in f)) for f in z.facets]
+            sigs.append({
+                v: (c[v], tuple(sorted(facet_colours[i] for i in ids)))
+                for v, ids in _vertex_facets(z).items()
+            })
+        joint = sorted(set(sigs[0].values()) | set(sigs[1].values()))
+        number = {s: k for k, s in enumerate(joint)}
+        cx = {v: number[s] for v, s in sigs[0].items()}
+        cy = {v: number[s] for v, s in sigs[1].items()}
+        if len(number) == classes:
+            return cx, cy
+        classes = len(number)
 
 
 def are_isomorphic(x: SimplicialComplex, y: SimplicialComplex):
     """Search for a facet-preserving vertex bijection.
 
-    Returns a :class:`VertexBijection` or ``None``.  Candidate images are
-    restricted by per-vertex invariants (facet degree, shared-facet pair
-    profile, link face counts) and the search assigns most-constrained
-    vertices first, checking pair profiles incrementally; the full facet
-    correspondence is confirmed at the leaves.  Deterministic for fixed
-    inputs.
+    Returns a :class:`VertexBijection` or ``None``; deterministic for fixed
+    inputs.  The method is colour refinement with individualisation (McKay
+    and Piperno, "Practical graph isomorphism, II", 2014): :func:`_refine`
+    colours the vertices of both complexes together until stable, a pair
+    whose class sizes differ is a dead branch, and otherwise the smallest
+    vertex ``v`` of the first class with several members is given a fresh
+    colour along with each vertex ``w`` of ``y`` in that class in turn.  A
+    discrete colouring gives one bijection, accepted when it maps the
+    facets of ``x`` onto those of ``y``.  Branches wait on an explicit
+    stack, one frame (a colouring pair and the ``w`` left) per level.
+
+    The search is complete: refinement applies one rule and one numbering
+    to both sides, so an isomorphism ``phi`` that preserves the colours
+    before a round preserves them after it.  Every ``w`` of the split class
+    is tried, ``phi(v)`` among them, and at the discrete leaf of that branch
+    ``phi`` is the only colour-preserving bijection left.
+
+    Cost: a round is one pass over the facets of both complexes, and the
+    number of rounds grows with the diameter, so long symmetric inputs
+    (large polygons, boundaries of long path balls) spend their time there.
     """
-    if f_vector(x) != f_vector(y):
+    if (x.dim, len(x.facets), x.num_vertices) != (
+        y.dim, len(y.facets), y.num_vertices
+    ):
         return None
-    sx = _vertex_signatures(x)
-    sy = _vertex_signatures(y)
-    if sorted(sx.values()) != sorted(sy.values()):
-        return None
-    by_sig: dict = {}
-    for w, s in sy.items():
-        by_sig.setdefault(s, []).append(w)
-    px = _pair_counts(x)
-    py = _pair_counts(y)
-
-    def pair(counts, a, b):
-        if a > b:
-            a, b = b, a
-        return counts.get((a, b), 0)
-
-    order = sorted(x.vertices, key=lambda v: (len(by_sig.get(sx[v], ())), v))
-    assigned: dict[int, int] = {}
-    used: set[int] = set()
-    yfacets = set(y.facets)
-
-    def extend(i: int):
-        if i == len(order):
-            image = {
-                tuple(sorted(assigned[v] for v in f)) for f in x.facets
-            }
-            return image == yfacets
-        v = order[i]
-        for w in by_sig.get(sx[v], ()):
-            if w in used:
-                continue
-            if any(
-                pair(px, v, u) != pair(py, w, assigned[u]) for u in assigned
-            ):
-                continue
-            assigned[v] = w
-            used.add(w)
-            if extend(i + 1):
-                return True
-            del assigned[v]
-            used.discard(w)
-        return False
-
-    if extend(0):
-        return VertexBijection(tuple(sorted(assigned.items())))
-    return None
+    cx, cy = _refine(
+        x, y, dict.fromkeys(x.vertices, 0), dict.fromkeys(y.vertices, 0)
+    )
+    frames = []
+    while True:
+        sizes = Counter(cx.values())
+        if sizes == Counter(cy.values()):
+            split = min((c for c, k in sizes.items() if k > 1), default=None)
+            if split is None:
+                image = {c: w for w, c in cy.items()}
+                bij = VertexBijection(tuple((v, image[cx[v]]) for v in x.vertices))
+                if bij.maps_complex(x, y):
+                    return bij
+            else:
+                v = next(u for u in x.vertices if cx[u] == split)
+                todo = [w for w in reversed(y.vertices) if cy[w] == split]
+                frames.append((cx, cy, v, todo))
+        while frames and not frames[-1][3]:
+            frames.pop()
+        if not frames:
+            return None
+        # refined colours count from 0, so -1 is fresh at every level
+        px, py, v, todo = frames[-1]
+        cx, cy = _refine(x, y, {**px, v: -1}, {**py, todo.pop(): -1})
 
 
 # --- vertex-order reconstruction -------------------------------------------

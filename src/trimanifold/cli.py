@@ -147,7 +147,7 @@ def cmd_betti(args) -> int:
         {
             "instance": _instance_name(args.input),
             "betti": list(bv.betti),
-            "euler": f_vector(x).euler,
+            "euler": bv.alternating_sum(),
         }
     )
     return 0

@@ -3,14 +3,14 @@
 Everything here recomputes answers by definition chasing: global subset
 enumeration for faces and links, dense row reduction for binary ranks,
 delete-a-node sweeps for two-connectivity, reverse peeling for stacked
-balls, a backtracking peel search for stacked spheres and an all-pairs
-scan for maximal faces.  The
+balls, a backtracking peel search for stacked spheres, an all-pairs
+scan for maximal faces and a try-every-bijection isomorphism check.  The
 point is independence from the fast paths in the package, so agreement is
 evidence rather than circularity.
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 from trimanifold.complexes import (
     EMPTY,
@@ -41,6 +41,21 @@ def maximal_faces_by_pairs(faces) -> tuple:
         maximal.extend(kept)
         larger.extend(set(f) for f in kept)
     return tuple(sorted(maximal))
+
+
+def isomorphic_by_permutations(x: SimplicialComplex, y: SimplicialComplex) -> bool:
+    """Whether some vertex bijection carries the facets of ``x`` onto those
+    of ``y``, trying every bijection; at most 8 vertices."""
+    if x.num_vertices != y.num_vertices:
+        return False
+    if x.num_vertices > 8:
+        raise ValueError("the permutation check takes at most 8 vertices")
+    target = set(y.facets)
+    for images in permutations(y.vertices):
+        image = dict(zip(x.vertices, images))
+        if {tuple(sorted(image[v] for v in f)) for f in x.facets} == target:
+            return True
+    return False
 
 
 def faces_by_enumeration(x: SimplicialComplex, size: int) -> set:

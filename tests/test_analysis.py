@@ -1,11 +1,14 @@
 import json
+import random
+from time import perf_counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import helpers
 from trimanifold.analysis import (
     LEMMA_IDS,
+    _refine,
     VertexBijection,
     are_isomorphic,
     bound_chain_audit,
@@ -28,7 +31,7 @@ from trimanifold.errors import (
     ReconstructionFailure,
     UnknownLemmaError,
 )
-from trimanifold.walkup import kuehnel_solid, kuehnel_torus
+from trimanifold.walkup import kuehnel_solid, kuehnel_torus, random_stacked_ball
 
 
 def test_tight_neighborly_equality_family():
@@ -197,6 +200,77 @@ def test_isomorphism_under_random_permutation(rng):
     other = relabel_vertices(torus, perm)
     bij = are_isomorphic(torus, other)
     assert bij is not None and bij.maps_complex(torus, other)
+
+
+@st.composite
+def small_complexes(draw):
+    """Complexes on at most 7 vertices: pure (one face size) or not."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, min(n, 4)))
+    smallest = k if draw(st.booleans()) else 1
+    faces = draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=smallest, max_size=k, unique=True),
+        min_size=1,
+        max_size=8,
+    ))
+    return from_facets(faces)
+
+
+@given(small_complexes(), small_complexes(), st.permutations(range(7)))
+# a triangle and a square: refinement cannot tell their vertices apart, and
+# the first candidate of y lies on the wrong cycle, so the search backtracks
+@example(
+    from_facets([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]),
+    from_facets([(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6)]),
+    [6, 5, 4, 3, 2, 1, 0],
+)
+def test_isomorphism_against_every_bijection(x, y, labels):
+    copy = relabel_vertices(x, {v: 3 * labels[v] + 1 for v in x.vertices})
+    for a, b in ((x, y), (y, x), (x, copy)):
+        bij = are_isomorphic(a, b)
+        assert (bij is not None) == helpers.isomorphic_by_permutations(a, b)
+        assert bij is None or bij.maps_complex(a, b)
+    assert are_isomorphic(x, copy) is not None
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (
+            [(i, (i + 1) % 6) for i in range(6)],
+            [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
+        ),
+        (
+            [(i, j) for i in range(3) for j in range(3, 6)],
+            [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)],
+        ),
+    ],
+    ids=["hexagon-vs-two-triangles", "k33-vs-prism"],
+)
+def test_isomorphism_beyond_colour_refinement(a, b):
+    # both sides are regular graphs of one degree, so refinement from the
+    # uniform colouring never splits a class; only the search tells them apart
+    a, b = from_facets(a), from_facets(b)
+    cx, cy = _refine(a, b, dict.fromkeys(a.vertices, 0), dict.fromkeys(b.vertices, 0))
+    assert set(cx.values()) == set(cy.values()) == {0}
+    assert not helpers.isomorphic_by_permutations(a, b)
+    assert are_isomorphic(a, b) is None
+    assert are_isomorphic(b, a) is None
+
+
+def test_isomorphism_of_a_relabelled_polygon_within_budget():
+    # every vertex of a polygon looks alike, so a search ordered by vertex
+    # invariants alone went exponential on this 42-gon
+    polygon = boundary_complex(random_stacked_ball(2, 40, seed=0))
+    assert polygon.num_vertices == len(polygon.facets) == 42
+    labels = list(polygon.vertices)
+    random.Random(1).shuffle(labels)
+    copy = relabel_vertices(polygon, dict(zip(polygon.vertices, labels)))
+    t0 = perf_counter()
+    bij = are_isomorphic(polygon, copy)
+    dt = perf_counter() - t0
+    assert bij is not None and bij.maps_complex(polygon, copy)
+    assert dt < 2.0, f"took {dt:.2f} s, budget 2 s"
 
 
 def test_reconstruction_on_shuffled_solids():

@@ -1,11 +1,13 @@
 import json
+import random
 
 import pytest
 
 import helpers
 from trimanifold import fct
+from trimanifold.analysis import VertexBijection
 from trimanifold.cli import main
-from trimanifold.complexes import boundary_complex
+from trimanifold.complexes import boundary_complex, relabel_vertices
 from trimanifold.walkup import kuehnel_solid, kuehnel_torus, random_stacked_ball
 
 
@@ -80,6 +82,24 @@ def test_check_stacked_sphere_past_a_thousand_peels(capsys, tmp_path):
     code, out, err = run(capsys, "check", str(path), "--checks", "stacked-sphere")
     assert (code, err) == (0, "")
     assert json.loads(out)["checks"][0]["holds"] is True
+
+
+def test_iso_past_a_thousand_vertices(capsys, tmp_path):
+    # a search that recursed once per vertex died on the interpreter's
+    # recursion limit with exit 3 on this 1203-vertex sphere
+    sphere = boundary_complex(random_stacked_ball(3, 1200, seed=0))
+    labels = list(sphere.vertices)
+    random.Random(1).shuffle(labels)
+    copy = relabel_vertices(sphere, dict(zip(sphere.vertices, labels)))
+    a, b = tmp_path / "a.fct", tmp_path / "b.fct"
+    fct.write_fct(sphere, a)
+    fct.write_fct(copy, b)
+    code, out, err = run(capsys, "iso", str(a), str(b))
+    assert (code, err) == (0, "")
+    reply = json.loads(out)
+    assert reply["isomorphic"] is True
+    bij = VertexBijection(tuple(tuple(p) for p in reply["bijection"]))
+    assert bij.maps_complex(sphere, copy)
 
 
 def test_check_unknown_name_exits_two(capsys, tmp_path):
