@@ -217,9 +217,9 @@ def cmd_bar(args) -> int:
 def cmd_boundary(args) -> int:
     x = _read_input(args.input)
     bd = boundary_complex(x)
-    if not bd.facets:
-        print("input error: the complex is closed, its boundary is empty",
-              file=sys.stderr)
+    if bd.dim < 0:
+        print("input error: the boundary has no vertices"
+              " (the input is closed or a single point)", file=sys.stderr)
         return 2
     _emit_fct(bd, args.output)
     return 0

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from .complexes import (
     Face,
     SimplicialComplex,
+    _vertex_facets,
     boundary_complex,
     faces_of_dim,
     from_facets,
@@ -123,57 +124,54 @@ def is_stacked_ball(x: SimplicialComplex) -> bool:
     return is_tree(dual_graph(x))
 
 
-def _peel_candidates(facets: frozenset, dd: int):
-    """Vertices removable by reverse subdivision, in ascending order, each
-    yielded with its star and seal facet."""
-    incident: dict[int, list] = {}
-    for f in facets:
-        for v in f:
-            incident.setdefault(v, []).append(f)
-    for v in sorted(incident):
-        star_v = incident[v]
-        if len(star_v) != dd + 1:
-            continue
-        hull: set[int] = set()
-        for f in star_v:
-            hull.update(f)
-        hull.discard(v)
-        if len(hull) != dd + 1:
-            continue
-        seal = tuple(sorted(hull))
-        expected = {
-            tuple(sorted((hull - {w}) | {v})) for w in hull
-        }
-        if expected != set(star_v):
-            continue
-        if seal in facets:
-            continue
-        yield frozenset(star_v), seal
-
-
 def is_stacked_sphere(s: SimplicialComplex) -> bool:
     """Recognise boundaries of stacked balls.
 
     The input must be a pure closed weak pseudomanifold; anything else
-    raises :class:`PreconditionError`.  Recognition peels the first
-    removable vertex, over and over, and answers True when the boundary
-    of a simplex is left, False when no vertex is removable before that.
-    Taking the first choice loses nothing: a peel of a stacked sphere
-    always leaves a stacked sphere (see the module docstring).
+    raises :class:`PreconditionError`.  Recognition keeps a map from each
+    vertex to its star and a worklist of vertices to try, first all of
+    them.  A vertex v is peeled when its star has d + 1 facets, their
+    other vertices form a hull H of d + 1 vertices, and H is not already
+    a facet.  The star is then the cone over the boundary of H (d + 1
+    distinct d-faces through v on the d + 2 vertices of v and H are all
+    of them), and it is replaced by the seal H.  Any order of peels is as
+    good as any other (see the module docstring).  After a peel only the
+    vertices of H go back on the worklist: a vertex becomes removable
+    only when a peel changes its star or deletes its seal, and either way
+    it shares a facet with v, so it lies in H.  The answer is True when
+    peeling stops at d + 2 facets.
     """
     if not s.facets or not is_weak_pseudomanifold(s):
         raise PreconditionError("input must be a pure weak pseudomanifold")
     if boundary_complex(s).facets:
         raise PreconditionError("input has a non-empty boundary")
     dd = s.dim
-    facets = frozenset(s.facets)
-    while len(facets) != dd + 2 or len(set().union(*facets)) != dd + 2:
-        peel = next(_peel_candidates(facets, dd), None)
-        if peel is None:
-            return False
-        star_v, seal = peel
-        facets = (facets - star_v) | {seal}
-    return True
+    facets = set(s.facets)
+    stars = {
+        v: {s.facets[i] for i in ids} for v, ids in _vertex_facets(s).items()
+    }
+    todo = list(stars)
+    while todo:
+        v = todo.pop()
+        star_v = stars.get(v, ())
+        if len(star_v) != dd + 1:
+            continue
+        hull = set().union(*star_v) - {v}
+        seal = tuple(sorted(hull))
+        if len(hull) != dd + 1 or seal in facets:
+            continue
+        facets -= star_v
+        facets.add(seal)
+        for w in hull:
+            stars[w] -= star_v
+            stars[w].add(seal)
+        del stars[v]
+        todo.extend(hull)
+    # every peel keeps the facets a closed weak pseudomanifold; with d + 2
+    # facets each one meets the other d + 1 in a ridge apiece, and as no
+    # ridge lies in three facets they cannot share one ridge (a sunflower),
+    # so all lie on d + 2 vertices: the boundary of a simplex
+    return len(facets) == dd + 2
 
 
 def class_membership(m: SimplicialComplex) -> ClassReport:

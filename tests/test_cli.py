@@ -7,7 +7,7 @@ import helpers
 from trimanifold import fct
 from trimanifold.analysis import VertexBijection
 from trimanifold.cli import main
-from trimanifold.complexes import boundary_complex, relabel_vertices
+from trimanifold.complexes import boundary_complex, from_facets, relabel_vertices
 from trimanifold.walkup import kuehnel_solid, kuehnel_torus, random_stacked_ball
 
 
@@ -220,12 +220,14 @@ def test_bar_and_boundary_roundtrip(capsys, tmp_path):
 
 
 def test_boundary_of_closed_input_exits_two(capsys, tmp_path):
-    # the torus is closed, so its boundary is empty and unserialisable
-    path = tmp_path / "torus.fct"
-    fct.write_fct(kuehnel_torus(2), path)
-    code, _, err = run(capsys, "boundary", str(path))
-    assert code == 2
-    assert "closed" in err
+    # the torus is closed, so its boundary is empty; a point's boundary is
+    # the empty face alone; neither has a vertex to serialise
+    for name, x in (("torus", kuehnel_torus(2)), ("point", from_facets([(0,)]))):
+        path = tmp_path / f"{name}.fct"
+        fct.write_fct(x, path)
+        code, out, err = run(capsys, "boundary", str(path))
+        assert code == 2, name
+        assert out == "" and "closed" in err, name
 
 
 def test_handle_pipeline(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+from time import perf_counter
 
 import pytest
 
@@ -118,7 +119,14 @@ def test_stacked_sphere_agrees_with_search():
         [f for f in OCTAHEDRON.facets if f != (0, 2, 4)]
         + [(0, 2, 6), (0, 4, 6), (2, 4, 6)]
     )
-    cases = [OCTAHEDRON, stacked_once]
+    # disconnected and closed: peeling stops with more than d + 2 facets
+    tetra = boundary_complex(helpers.simplex(3))
+    two_tetra = from_facets(tetra.facets + helpers.shifted(tetra, 10).facets)
+    sphere_and_tetra = from_facets(
+        boundary_complex(random_stacked_ball(3, 6, seed=1)).facets
+        + helpers.shifted(tetra, 100).facets
+    )
+    cases = [OCTAHEDRON, stacked_once, two_tetra, sphere_and_tetra]
     for d in range(1, 5):
         for m in (1, 2, 3, 5, 8):
             for seed in (0, 1):
@@ -132,8 +140,19 @@ def test_stacked_sphere_agrees_with_search():
     )
     for s in cases:
         assert is_stacked_sphere(s) == helpers.stacked_sphere_by_search(s), s
-    assert not is_stacked_sphere(OCTAHEDRON)
-    assert not is_stacked_sphere(stacked_once)
+    for s in (OCTAHEDRON, stacked_once, two_tetra, sphere_and_tetra):
+        assert not is_stacked_sphere(s)
+
+
+def test_stacked_sphere_recognition_has_no_size_cliff():
+    # 10002 facets and 4999 peels: a pass over all facets per peel misses
+    # the budget (about 20 s on Python 3.11)
+    sphere = boundary_complex(random_stacked_ball(3, 5000, seed=7))
+    t0 = perf_counter()
+    ok = is_stacked_sphere(sphere)
+    dt = perf_counter() - t0
+    assert ok
+    assert dt < 5.0, f"is_stacked_sphere took {dt:.2f} s, budget 5 s"
 
 
 def test_stacked_sphere_needs_a_closed_input():
