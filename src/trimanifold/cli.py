@@ -12,6 +12,7 @@ input, 3 for an internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -72,7 +73,8 @@ def _write_dot(x: SimplicialComplex, path: str) -> None:
         fh.write(to_dot(g))
 
 
-def _run_check(x: SimplicialComplex, name: str) -> dict:
+def _run_check(x: SimplicialComplex, name: str, membership) -> dict:
+    """One verdict; ``membership()`` gives the complex's Walkup class report."""
     result: dict = {"id": name, "holds": None, "witness": None}
     try:
         if name == "pure":
@@ -85,15 +87,11 @@ def _run_check(x: SimplicialComplex, name: str) -> dict:
             result["holds"] = walkup.is_stacked_ball(x)
         elif name == "stacked-sphere":
             result["holds"] = walkup.is_stacked_sphere(x)
-        elif name == "class-k":
-            report = walkup.class_membership(x)
-            result["holds"] = report.in_class_k
-            if not report.in_class_k:
-                result["witness"] = {"failing_vertex": report.failing_vertex}
-        elif name == "class-kbar":
-            report = walkup.class_membership(x)
-            result["holds"] = report.in_class_kbar
-            if not report.in_class_kbar:
+        elif name in ("class-k", "class-kbar"):
+            report = membership()
+            holds = report.in_class_k if name == "class-k" else report.in_class_kbar
+            result["holds"] = holds
+            if not holds:
                 result["witness"] = {"failing_vertex": report.failing_vertex}
         elif name == "tight-neighborly":
             tr = analysis.tight_neighborly_check(x)
@@ -135,7 +133,9 @@ def cmd_check(args) -> int:
             return 2
     if args.dot:
         _write_dot(x, args.dot)
-    checks = [_run_check(x, name) for name in names]
+    # class-k and class-kbar read the same report
+    membership = functools.cache(lambda: walkup.class_membership(x))
+    checks = [_run_check(x, name, membership) for name in names]
     sys.stdout.write(analysis.render_report(_instance_name(args.input), checks))
     return 0 if all(c["holds"] for c in checks) else 1
 

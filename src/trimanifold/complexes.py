@@ -4,9 +4,11 @@ A complex is kept as the canonically sorted tuple of its inclusion-maximal
 faces.  Derived structure is never materialised up front; it is built on
 first use and memoised on the complex, which is immutable:
 
+- the dimension and the vertex set;
 - the face set of each dimension (:func:`faces_of_dim`);
 - the vertex index, vertex -> ascending ids of the facets containing it;
-- the ridge index, codimension-one face -> ids of the facets containing it.
+- the ridge index, codimension-one face -> ids of the facets containing it;
+- the facet graph, which :mod:`.dualgraph` builds from the ridge index.
 
 This module is the only one that finds the facets at a vertex or across a
 ridge; every other module reads the two indices.  Vertex labels are
@@ -94,16 +96,18 @@ class SimplicialComplex:
     """
 
     facets: tuple[Face, ...]
-    # face sets, vertex index and ridge index; value writes are idempotent
-    # so concurrent readers at worst recompute
+    # dimension, vertices, face sets, vertex and ridge index, facet graph;
+    # value writes are idempotent so concurrent readers at worst recompute
     _face_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         """Top face dimension; -1 for the empty complex."""
-        if not self.facets:
-            return -1
-        return max(len(f) for f in self.facets) - 1
+        d = self._face_cache.get("dim")
+        if d is None:
+            d = max(map(len, self.facets), default=0) - 1
+            self._face_cache["dim"] = d
+        return d
 
     @property
     def vertices(self) -> tuple[int, ...]:

@@ -77,7 +77,10 @@ class DualGraph:
 
 
 def dual_graph(x: SimplicialComplex) -> DualGraph:
-    """Facet adjacency graph of a pure complex."""
+    """Facet adjacency graph of a pure complex, memoised on the complex."""
+    g = x._face_cache.get("dual_graph")
+    if g is not None:
+        return g
     if not is_pure(x):
         raise PreconditionError("dual graph requires a pure complex")
     edges: set[tuple[int, int]] = set()
@@ -85,7 +88,9 @@ def dual_graph(x: SimplicialComplex) -> DualGraph:
         for a in range(len(ids)):
             for b in range(a + 1, len(ids)):
                 edges.add((ids[a], ids[b]))
-    return DualGraph(x.facets, frozenset(edges))
+    g = DualGraph(x.facets, frozenset(edges))
+    x._face_cache["dual_graph"] = g
+    return g
 
 
 def is_connected(g: DualGraph) -> bool:

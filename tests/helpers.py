@@ -2,6 +2,7 @@
 
 Everything here recomputes answers by definition chasing: global subset
 enumeration for faces and links, dense row reduction for binary ranks,
+Betti numbers from full boundary matrices ranked one at a time,
 delete-a-node sweeps for two-connectivity, reverse peeling for stacked
 balls, a backtracking peel search for stacked spheres, an all-pairs
 scan for maximal faces and a try-every-bijection isomorphism check.  The
@@ -21,6 +22,7 @@ from trimanifold.complexes import (
     relabel_vertices,
 )
 from trimanifold.dualgraph import components_minus, is_connected
+from trimanifold.homology import chain_complex
 from trimanifold.walkup import kuehnel_solid, kuehnel_torus, random_stacked_ball
 
 
@@ -100,6 +102,16 @@ def rank_gf2_dense(rows) -> int:
                 mat[r] = [(a ^ b) for a, b in zip(mat[r], mat[rank])]
         rank += 1
     return rank
+
+
+def betti_by_matrices(x: SimplicialComplex) -> tuple:
+    """Mod-2 Betti vector from every boundary matrix built in full and
+    ranked on its own."""
+    cc = chain_complex(x)
+    ranks = [m.rank() for m in cc.boundaries] + [0]
+    return tuple(
+        len(cc.faces[k]) - ranks[k] - ranks[k + 1] for k in range(cc.dim + 1)
+    )
 
 
 def two_connected_by_deletion(g) -> bool:

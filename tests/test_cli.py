@@ -263,3 +263,22 @@ def test_json_output_is_deterministic(capsys, tmp_path):
     first = run(capsys, "check", str(path), "--checks", "pure,pm,class-kbar")
     second = run(capsys, "check", str(path), "--checks", "pure,pm,class-kbar")
     assert first == second
+
+
+@pytest.mark.parametrize("make", [kuehnel_torus, kuehnel_solid])
+def test_check_runs_class_membership_once(capsys, tmp_path, monkeypatch, make):
+    import trimanifold.walkup as walkup
+
+    path = tmp_path / "x.fct"
+    fct.write_fct(make(3), path)
+    alone = [
+        json.loads(run(capsys, "check", str(path), "--checks", name)[1])["checks"][0]
+        for name in ("class-k", "class-kbar")
+    ]
+    calls = []
+    real = walkup.class_membership
+    monkeypatch.setattr(walkup, "class_membership", lambda m: calls.append(m) or real(m))
+    code, out, _ = run(capsys, "check", str(path), "--checks", "class-k,class-kbar")
+    assert len(calls) == 1
+    assert code == 1
+    assert json.loads(out)["checks"] == alone

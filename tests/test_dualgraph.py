@@ -42,6 +42,13 @@ def test_dual_graph_requires_purity():
         dual_graph(from_facets([(0, 1, 2), (2, 3)]))
 
 
+def test_dual_graph_is_memoised():
+    x = random_stacked_ball(3, 20, seed=1)
+    g = dual_graph(x)
+    assert dual_graph(x) is g
+    assert dual_graph(from_facets(x.facets)) == g
+
+
 def test_adjacency_matches_edges():
     g = dual_graph(helpers.star_ball(3, 5))
     for i, j in g.edges:

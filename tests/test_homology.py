@@ -1,3 +1,5 @@
+from time import perf_counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,6 +8,7 @@ from trimanifold.complexes import boundary_complex, f_vector, from_facets
 from trimanifold.errors import PreconditionError
 from trimanifold.homology import (
     Z2Matrix,
+    _betti01,
     beta1_dual_formula,
     beta1_z2,
     betti_z2,
@@ -136,3 +139,66 @@ def test_orientability_alternates_with_torus_dimension():
 def test_orientability_preconditions():
     with pytest.raises(PreconditionError):
         is_orientable(helpers.path_ball(2, 4))
+
+
+@st.composite
+def complexes_in_parts(draw):
+    """Small complexes, often non-pure, in one to three disjoint parts; a
+    part is a few random faces or the boundary of a simplex."""
+    faces = []
+    for p in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 7))
+        if draw(st.booleans()):
+            part = [[v for v in range(n) if v != u] or [0] for u in range(n)]
+        else:
+            part = draw(st.lists(
+                st.lists(st.integers(0, n - 1), min_size=1, max_size=5, unique=True),
+                min_size=1,
+                max_size=8,
+            ))
+        faces.extend([10 * p + v for v in f] for f in part)
+    return from_facets(faces)
+
+
+@given(complexes_in_parts())
+def test_betti_sweep_matches_full_matrices(x):
+    want = helpers.betti_by_matrices(x)
+    b1 = want[1] if len(want) > 1 else 0
+    assert betti_z2(x).betti == want
+    assert beta1_z2(x) == b1
+    assert _betti01(x) == (want[0], b1)
+
+
+def test_betti_of_kuehnel_family_and_stacked_spheres_against_full_matrices():
+    cases = []
+    for d in range(2, 11):
+        torus = (1, 2, 1) if d == 2 else (1, 1) + (0,) * (d - 3) + (1, 1)
+        cases.append((kuehnel_torus(d), torus))
+        cases.append((kuehnel_solid(d), (1, 1) + (0,) * d))
+    for d in range(1, 6):
+        ball = random_stacked_ball(d, 40, seed=d)
+        cases.append((ball, (1,) + (0,) * d))
+        sphere = (2,) if d == 1 else (1,) + (0,) * (d - 2) + (1,)
+        cases.append((boundary_complex(ball), sphere))
+    for x, want in cases:
+        assert betti_z2(x).betti == helpers.betti_by_matrices(x) == want, x.facets[0]
+
+
+def test_betti_of_kuehnel_torus_12_within_budget():
+    x = kuehnel_torus(12)
+    t0 = perf_counter()
+    bv = betti_z2(x)
+    dt = perf_counter() - t0
+    assert bv.betti == (1, 1) + (0,) * 9 + (1, 1)
+    assert dt < 2.5, f"betti_z2(kuehnel_torus(12)) took {dt:.2f} s"
+
+
+def test_betti_of_a_long_strip_within_budget():
+    # without clearing, the column of the edge {i, i+1} reduces to zero only
+    # after about i additions, so the sweep turns quadratic
+    x = helpers.path_ball(2, 8000)
+    t0 = perf_counter()
+    bv = betti_z2(x)
+    dt = perf_counter() - t0
+    assert bv.betti == (1, 0, 0)
+    assert dt < 1.0, f"betti_z2 of the 8000-triangle strip took {dt:.2f} s"
