@@ -38,7 +38,6 @@ from .complexes import (
     join,
     link,
     relabel_vertices,
-    skeleton,
     star,
 )
 from .dualgraph import (

@@ -31,6 +31,7 @@ from .dualgraph import (
     dual_graph,
     high_degree_set,
     is_cycle,
+    is_tree,
     is_two_connected,
 )
 from .errors import (
@@ -103,9 +104,6 @@ class VertexBijection:
 
     def apply(self, face) -> tuple:
         return tuple(sorted(self.mapping[v] for v in face))
-
-    def inverse(self) -> "VertexBijection":
-        return VertexBijection(tuple(sorted((b, a) for a, b in self.pairs)))
 
     def maps_complex(self, x: SimplicialComplex, y: SimplicialComplex) -> bool:
         """True when the map carries the facet set of ``x`` onto that of ``y``."""
@@ -224,8 +222,6 @@ def _check_two_connected(m, g, d, n) -> LemmaReport:
 
 
 def _check_vertex_trees(m, g, d, n) -> LemmaReport:
-    from .dualgraph import is_tree
-
     expected = n - d
     for v, ids in sorted(_vertex_facets(m).items()):
         sub = g.induced(ids)
@@ -492,6 +488,11 @@ def uniqueness_reconstruction(mbar: SimplicialComplex) -> VertexBijection:
 
 
 # --- proof-chain audit ------------------------------------------------------
+#
+# corollary_bound_check (above), bound_chain_audit and theorem_argument_audit
+# check the paper's counting argument rather than answer a question about an
+# input file, so no CLI command calls them: they stay library-only, exercised
+# by tests/test_analysis.py.
 
 
 def bound_chain_audit(

@@ -12,7 +12,6 @@ input, 3 for an internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
@@ -73,8 +72,8 @@ def _write_dot(x: SimplicialComplex, path: str) -> None:
         fh.write(to_dot(g))
 
 
-def _run_check(x: SimplicialComplex, name: str, membership) -> dict:
-    """One verdict; ``membership()`` gives the complex's Walkup class report."""
+def _run_check(x: SimplicialComplex, name: str) -> dict:
+    """One verdict of the named check on ``x``."""
     result: dict = {"id": name, "holds": None, "witness": None}
     try:
         if name == "pure":
@@ -88,7 +87,7 @@ def _run_check(x: SimplicialComplex, name: str, membership) -> dict:
         elif name == "stacked-sphere":
             result["holds"] = walkup.is_stacked_sphere(x)
         elif name in ("class-k", "class-kbar"):
-            report = membership()
+            report = walkup.class_membership(x)
             holds = report.in_class_k if name == "class-k" else report.in_class_kbar
             result["holds"] = holds
             if not holds:
@@ -133,9 +132,7 @@ def cmd_check(args) -> int:
             return 2
     if args.dot:
         _write_dot(x, args.dot)
-    # class-k and class-kbar read the same report
-    membership = functools.cache(lambda: walkup.class_membership(x))
-    checks = [_run_check(x, name, membership) for name in names]
+    checks = [_run_check(x, name) for name in names]
     sys.stdout.write(analysis.render_report(_instance_name(args.input), checks))
     return 0 if all(c["holds"] for c in checks) else 1
 

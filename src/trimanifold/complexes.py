@@ -1,14 +1,18 @@
 """Finite abstract simplicial complexes stored by their facets.
 
 A complex is kept as the canonically sorted tuple of its inclusion-maximal
-faces.  Derived structure is never materialised up front; it is built on
-first use and memoised on the complex, which is immutable:
+faces.  Derived structure is never materialised up front.  What callers
+read more than once is built on first use and memoised on the complex,
+which is immutable:
 
 - the dimension and the vertex set;
-- the face set of each dimension (:func:`faces_of_dim`);
 - the vertex index, vertex -> ascending ids of the facets containing it;
 - the ridge index, codimension-one face -> ids of the facets containing it;
-- the facet graph, which :mod:`.dualgraph` builds from the ridge index.
+- the facet graph, which :mod:`.dualgraph` builds from the ridge index;
+- the Walkup class report of :func:`.walkup.class_membership`.
+
+Face sets (:func:`faces_of_dim`) are built afresh on every call, so that
+counting faces does not keep every level alive.
 
 This module is the only one that finds the facets at a vertex or across a
 ridge; every other module reads the two indices.  Vertex labels are
@@ -45,7 +49,6 @@ __all__ = [
     "link",
     "star",
     "join",
-    "skeleton",
     "is_pure",
     "is_weak_pseudomanifold",
     "is_pseudomanifold",
@@ -96,8 +99,9 @@ class SimplicialComplex:
     """
 
     facets: tuple[Face, ...]
-    # dimension, vertices, face sets, vertex and ridge index, facet graph;
-    # value writes are idempotent so concurrent readers at worst recompute
+    # dimension, vertices, vertex and ridge index, facet graph, Walkup class
+    # report; face sets are not kept.  Value writes are idempotent so
+    # concurrent readers at worst recompute
     _face_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -181,24 +185,20 @@ def from_facets(faces: Iterable[Iterable[int]]) -> SimplicialComplex:
 
 
 def faces_of_dim(x: SimplicialComplex, k: int) -> frozenset:
-    """All k-dimensional faces of ``x`` as a frozenset of sorted tuples.
+    """All k-dimensional faces of ``x`` as a new frozenset of sorted tuples.
 
-    ``k == -1`` yields the singleton set holding the empty face.
+    ``k == -1`` yields the singleton set holding the empty face.  The set
+    is not memoised: each call builds it again.
     """
     if k < -1 or k > x.dim:
         raise DimensionRangeError(f"k={k} outside [-1, {x.dim}]")
     if k == -1:
         return frozenset({()})
-    key = ("faces", k)
-    cached = x._face_cache.get(key)
-    if cached is None:
-        out: set[Face] = set()
-        for facet in x.facets:
-            if len(facet) >= k + 1:
-                out.update(itertools.combinations(facet, k + 1))
-        cached = frozenset(out)
-        x._face_cache[key] = cached
-    return cached
+    out: set[Face] = set()
+    for facet in x.facets:
+        if len(facet) >= k + 1:
+            out.update(itertools.combinations(facet, k + 1))
+    return frozenset(out)
 
 
 def f_vector(x: SimplicialComplex) -> FVector:
@@ -246,15 +246,6 @@ def join(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(
         tuple(sorted(tuple(sorted(f + g)) for f in x.facets for g in y.facets))
     )
-
-
-def skeleton(x: SimplicialComplex, k: int) -> SimplicialComplex:
-    """k-skeleton: all faces of dimension at most ``k``."""
-    if k < 0 or k > x.dim:
-        raise DimensionRangeError(f"k={k} outside [0, {x.dim}]")
-    gens = set(faces_of_dim(x, k))
-    gens.update(f for f in x.facets if len(f) <= k)
-    return from_facets(gens)
 
 
 def is_pure(x: SimplicialComplex) -> bool:

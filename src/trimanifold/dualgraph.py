@@ -199,9 +199,9 @@ def vertex_facet_subgraph(x: SimplicialComplex, v: int) -> DualGraph:
     return dual_graph(x).induced(ids)
 
 
-def to_dot(g: DualGraph, name: str = "dual") -> str:
+def to_dot(g: DualGraph) -> str:
     """Graphviz text for eyeballing; not load-bearing anywhere."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph dual {"]
     for i, facet in enumerate(g.facets):
         label = " ".join(str(v) for v in facet)
         lines.append(f'  {i} [label="{label}"];')

@@ -181,7 +181,14 @@ def class_membership(m: SimplicialComplex) -> ClassReport:
     stacked sphere; membership in the bounded class needs every link to
     be a stacked ball.  ``failing_vertex`` names the first vertex that
     ruled out a class, sphere failures taking precedence.
+
+    The report is memoised on the complex, so the checks and lemmas that
+    all ask for it classify the links once; a precondition error is
+    raised again on every call.
     """
+    report = m._face_cache.get("class_membership")
+    if report is not None:
+        return report
     if not m.facets or not is_pure(m):
         raise PreconditionError("class membership requires a non-empty pure complex")
     in_k = True
@@ -206,7 +213,9 @@ def class_membership(m: SimplicialComplex) -> ClassReport:
         failing = k_fail
     elif not in_kbar:
         failing = kbar_fail
-    return ClassReport(in_k, in_kbar, failing, m.dim)
+    report = ClassReport(in_k, in_kbar, failing, m.dim)
+    m._face_cache["class_membership"] = report
+    return report
 
 
 def bar_construction(m: SimplicialComplex) -> SimplicialComplex:

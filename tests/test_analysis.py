@@ -160,11 +160,10 @@ def test_vertex_bijection_mechanics():
     b = VertexBijection(((0, 5), (1, 3), (2, 8)))
     assert b.mapping == {0: 5, 1: 3, 2: 8}
     assert b.apply((2, 0)) == (5, 8)
-    assert b.inverse().mapping == {5: 0, 3: 1, 8: 2}
     x = helpers.simplex(2)
     y = relabel_vertices(x, b.mapping)
     assert b.maps_complex(x, y)
-    assert not b.inverse().maps_complex(x, y)
+    assert not VertexBijection(((0, 5), (1, 3), (2, 9))).maps_complex(x, y)
 
 
 def test_isomorphic_relabelings_are_found():

@@ -275,10 +275,28 @@ def test_check_runs_class_membership_once(capsys, tmp_path, monkeypatch, make):
         json.loads(run(capsys, "check", str(path), "--checks", name)[1])["checks"][0]
         for name in ("class-k", "class-kbar")
     ]
+    # class_membership takes one link per vertex, so f0 link calls mean
+    # the two checks classified the links once
     calls = []
-    real = walkup.class_membership
-    monkeypatch.setattr(walkup, "class_membership", lambda m: calls.append(m) or real(m))
+    real = walkup.link
+    monkeypatch.setattr(walkup, "link", lambda m, a: calls.append(a) or real(m, a))
     code, out, _ = run(capsys, "check", str(path), "--checks", "class-k,class-kbar")
-    assert len(calls) == 1
+    assert len(calls) == make(3).num_vertices
     assert code == 1
     assert json.loads(out)["checks"] == alone
+
+
+def test_verify_runs_class_membership_once(capsys, tmp_path, monkeypatch):
+    import trimanifold.walkup as walkup
+
+    solid = kuehnel_solid(4)
+    path = tmp_path / "solid.fct"
+    fct.write_fct(solid, path)
+    calls = []
+    real = walkup.link
+    monkeypatch.setattr(walkup, "link", lambda m, a: calls.append(a) or real(m, a))
+    code, out, _ = run(capsys, "verify", str(path), "--lemmas", "2.2,2.3,2.4,2.5")
+    # every lemma re-checks its hypothesis; the class report is computed once
+    assert len(calls) == solid.num_vertices
+    assert code == 0
+    assert [c["holds"] for c in json.loads(out)["checks"]] == [True] * 4

@@ -18,7 +18,6 @@ from trimanifold.complexes import (
     join,
     link,
     relabel_vertices,
-    skeleton,
     star,
 )
 from trimanifold.errors import (
@@ -234,12 +233,12 @@ def test_join_f_vector_is_convolution(fa, fb):
         assert cj[k] == total
 
 
-def test_skeleton():
-    x = helpers.simplex(3)
-    sk = skeleton(x, 1)
-    assert sk.dim == 1
-    assert len(sk.facets) == 6
-    assert skeleton(x, 0).facets == ((0,), (1,), (2,), (3,))
+def test_face_sets_are_not_memoised():
+    x = kuehnel_torus(4)
+    fv = f_vector(x)
+    faces = faces_of_dim(x, 2)
+    assert not any(isinstance(v, frozenset) for v in x._face_cache.values())
+    assert faces_of_dim(x, 2) == faces and len(faces) == fv.counts[2]
 
 
 def test_purity():

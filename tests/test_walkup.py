@@ -176,6 +176,18 @@ def test_class_membership_reports_first_failure():
     assert report.failing_vertex == 0
 
 
+def test_class_membership_is_memoised_but_errors_are_not():
+    x = kuehnel_torus(3)
+    report = class_membership(x)
+    assert class_membership(x) is report
+    assert class_membership(from_facets(x.facets)) == report
+    mixed = from_facets([(0, 1, 2), (2, 3)])
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            class_membership(mixed)
+    assert "class_membership" not in mixed._face_cache
+
+
 def test_random_stacked_ball_shape_and_determinism():
     a = random_stacked_ball(4, 12, seed=7)
     b = random_stacked_ball(4, 12, seed=7)
