@@ -106,9 +106,12 @@ class VertexBijection:
         return tuple(sorted(self.mapping[v] for v in face))
 
     def maps_complex(self, x: SimplicialComplex, y: SimplicialComplex) -> bool:
-        """True when the map carries the facet set of ``x`` onto that of ``y``."""
+        """True when the map is injective on the vertices of ``x`` and
+        carries the facet set of ``x`` onto that of ``y``."""
         domain = self.mapping
         if any(v not in domain for v in x.vertices):
+            return False
+        if len({domain[v] for v in x.vertices}) != x.num_vertices:
             return False
         return {self.apply(f) for f in x.facets} == set(y.facets)
 
@@ -352,21 +355,46 @@ def _refine(x: SimplicialComplex, y: SimplicialComplex, cx: dict, cy: dict):
     signatures of both sides are numbered together in sorted order, so a
     colour means the same thing in ``x`` and ``y``.  A round that adds no
     colour class ends the refinement.
+
+    Each round works on integers.  The distinct facet colours of both sides
+    are numbered together in sorted order, and a vertex signature is the
+    flat tuple ``(c[v], *sorted(facet numbers of its star))``.  The
+    numbering keeps the order of facet colours, and flattening
+    ``(c, (t1, ..., tk))`` into ``(c, t1, ..., tk)`` keeps tuple comparison
+    (an int first, then the facet part element by element, a shorter part
+    first when one is a prefix of the other), so the joint numbering of the
+    signatures is the one the nested tuples would give, colour for colour.
+
+    A round that leaves each side with one colour per vertex and both sides
+    with the same colours also ends the refinement.  A further round would
+    sort on ``c[v]`` first, so it gives every vertex back its colour when
+    the bijection matching equal colours maps the facets of ``x`` onto
+    those of ``y``.  When it does not, further rounds would split some
+    matched pair apart; either way the search finds no isomorphism below
+    that colouring, and stopping here saves those rounds.
     """
     classes = len(set(cx.values()) | set(cy.values()))
     while True:
+        colours = [
+            [tuple(sorted(map(c.__getitem__, f))) for f in z.facets]
+            for z, c in ((x, cx), (y, cy))
+        ]
+        rank = {
+            t: k for k, t in enumerate(sorted(set(colours[0]).union(colours[1])))
+        }
         sigs = []
-        for z, c in ((x, cx), (y, cy)):
-            facet_colours = [tuple(sorted(c[v] for v in f)) for f in z.facets]
+        for z, c, fc in ((x, cx, colours[0]), (y, cy, colours[1])):
+            ranks = list(map(rank.__getitem__, fc))
             sigs.append({
-                v: (c[v], tuple(sorted(facet_colours[i] for i in ids)))
+                v: (c[v], *sorted(map(ranks.__getitem__, ids)))
                 for v, ids in _vertex_facets(z).items()
             })
-        joint = sorted(set(sigs[0].values()) | set(sigs[1].values()))
-        number = {s: k for k, s in enumerate(joint)}
+        seen = set(sigs[0].values()), set(sigs[1].values())
+        number = {s: k for k, s in enumerate(sorted(seen[0] | seen[1]))}
         cx = {v: number[s] for v, s in sigs[0].items()}
         cy = {v: number[s] for v, s in sigs[1].items()}
-        if len(number) == classes:
+        discrete = len(cx) == len(cy) == len(seen[0]) and seen[0] == seen[1]
+        if len(number) == classes or discrete:
             return cx, cy
         classes = len(number)
 
@@ -391,8 +419,11 @@ def are_isomorphic(x: SimplicialComplex, y: SimplicialComplex):
     is tried, ``phi(v)`` among them, and at the discrete leaf of that branch
     ``phi`` is the only colour-preserving bijection left.
 
-    Cost: a round is one pass over the facets of both complexes, and the
-    number of rounds grows with the diameter, so long symmetric inputs
+    Cost: a round is one pass over the facets of both complexes on integer
+    colours, plus two sorts: the distinct facet colours, then the vertex
+    signatures.  A branch whose refinement reaches a discrete colouring
+    stops there rather than after one more round to confirm it.  The number
+    of rounds still grows with the diameter, so long symmetric inputs
     (large polygons, boundaries of long path balls) spend their time there.
     """
     if (x.dim, len(x.facets), x.num_vertices) != (

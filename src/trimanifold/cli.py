@@ -12,6 +12,7 @@ input, 3 for an internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -253,7 +254,10 @@ def cmd_handle(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every :func:`main` call can share it."""
     parser = argparse.ArgumentParser(
         prog="trimanifold",
         description="generate, check and transform triangulated manifolds",

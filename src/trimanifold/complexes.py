@@ -194,20 +194,30 @@ def faces_of_dim(x: SimplicialComplex, k: int) -> frozenset:
         raise DimensionRangeError(f"k={k} outside [-1, {x.dim}]")
     if k == -1:
         return frozenset({()})
+    return frozenset(_faces_of_size(x, k + 1))
+
+
+def _faces_of_size(x: SimplicialComplex, size: int) -> set:
+    """The faces of ``x`` with ``size`` vertices, as a new mutable set."""
     out: set[Face] = set()
     for facet in x.facets:
-        if len(facet) >= k + 1:
-            out.update(itertools.combinations(facet, k + 1))
-    return frozenset(out)
+        out.update(itertools.combinations(facet, size))
+    return out
 
 
 def f_vector(x: SimplicialComplex) -> FVector:
-    """Face counts (f_0, ..., f_d) and their alternating sum."""
+    """Face counts (f_0, ..., f_d) and their alternating sum.
+
+    f_0 is the vertex count and f_d the number of facets of size d + 1, as
+    every face of top dimension is a facet; only the levels in between are
+    enumerated.
+    """
     if not x.facets:
         return FVector.from_counts(())
-    return FVector.from_counts(
-        len(faces_of_dim(x, k)) for k in range(x.dim + 1)
-    )
+    d = x.dim
+    middle = (len(_faces_of_size(x, k + 1)) for k in range(1, d))
+    top = sum(len(f) == d + 1 for f in x.facets)
+    return FVector.from_counts((x.num_vertices, *middle, top) if d else (top,))
 
 
 def link(x: SimplicialComplex, alpha: Iterable[int]) -> SimplicialComplex:

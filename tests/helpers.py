@@ -5,7 +5,8 @@ enumeration for faces and links, dense row reduction for binary ranks,
 Betti numbers from full boundary matrices ranked one at a time,
 delete-a-node sweeps for two-connectivity, reverse peeling for stacked
 balls, a backtracking peel search for stacked spheres, an all-pairs
-scan for maximal faces and a try-every-bijection isomorphism check.  The
+scan for maximal faces, colour refinement on nested tuples run until no
+round splits a class, and a try-every-bijection isomorphism check.  The
 point is independence from the fast paths in the package, so agreement is
 evidence rather than circularity.
 """
@@ -58,6 +59,33 @@ def isomorphic_by_permutations(x: SimplicialComplex, y: SimplicialComplex) -> bo
         if {tuple(sorted(image[v] for v in f)) for f in x.facets} == target:
             return True
     return False
+
+
+def refine_by_full_rounds(x: SimplicialComplex, y: SimplicialComplex, cx: dict, cy: dict):
+    """Joint colour refinement of ``x`` and ``y`` on nested tuples, a round
+    at a time until a round adds no colour class.
+
+    A facet's colour is the sorted tuple of its vertex colours, a vertex's
+    signature its old colour with the sorted tuple of its facet colours,
+    and the signatures of both sides are numbered together in sorted order.
+    """
+    classes = len(set(cx.values()) | set(cy.values()))
+    while True:
+        sigs = []
+        for z, c in ((x, cx), (y, cy)):
+            sigs.append({
+                v: (c[v], tuple(sorted(
+                    tuple(sorted(c[u] for u in f)) for f in z.facets if v in f
+                )))
+                for v in z.vertices
+            })
+        joint = sorted(set(sigs[0].values()) | set(sigs[1].values()))
+        number = {s: k for k, s in enumerate(joint)}
+        cx = {v: number[s] for v, s in sigs[0].items()}
+        cy = {v: number[s] for v, s in sigs[1].items()}
+        if len(number) == classes:
+            return cx, cy
+        classes = len(number)
 
 
 def faces_by_enumeration(x: SimplicialComplex, size: int) -> set:

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from time import perf_counter
 
 import pytest
@@ -166,6 +167,12 @@ def test_vertex_bijection_mechanics():
     assert not VertexBijection(((0, 5), (1, 3), (2, 9))).maps_complex(x, y)
 
 
+def test_maps_complex_refuses_a_map_that_is_not_injective():
+    # the facets of x, collapsed by 1, 2 -> 5, fall onto the one facet of y
+    x, y = from_facets([(0, 1), (0, 2)]), from_facets([(4, 5)])
+    assert not VertexBijection(((0, 4), (1, 5), (2, 5))).maps_complex(x, y)
+
+
 def test_isomorphic_relabelings_are_found():
     solid = kuehnel_solid(3)
     perm = {v: (4 * v + 1) % 9 for v in range(9)}
@@ -230,6 +237,84 @@ def test_isomorphism_against_every_bijection(x, y, labels):
         assert (bij is not None) == helpers.isomorphic_by_permutations(a, b)
         assert bij is None or bij.maps_complex(a, b)
     assert are_isomorphic(x, copy) is not None
+
+
+def _refine_against_full_rounds(x, y, cx, cy):
+    """``_refine`` next to the full-round oracle; returns ``_refine``'s pair.
+
+    They differ only where ``_refine`` stops at a discrete colouring whose
+    colour-matching bijection is no isomorphism: full rounds then split a
+    matched pair apart, so the class sizes of the two sides differ.  The
+    search drops both colourings, so its answers are the same.
+    """
+    got = _refine(x, y, cx, cy)
+    want = helpers.refine_by_full_rounds(x, y, cx, cy)
+    if got != want:
+        gx, gy = got
+        assert len(set(gx.values())) == len(gx) and set(gx.values()) == set(gy.values())
+        image = {c: w for w, c in gy.items()}
+        bij = VertexBijection(tuple((v, image[gx[v]]) for v in x.vertices))
+        assert not bij.maps_complex(x, y)
+        assert Counter(want[0].values()) != Counter(want[1].values())
+    return got
+
+
+# six triangles on which individualising 0 against 1 refines to a discrete
+# colouring that is no isomorphism; the full rounds split it further
+_DISCRETE_NON_ISOMORPHISM = from_facets(
+    [(0, 2, 4), (0, 2, 5), (0, 3, 5), (1, 2, 3), (1, 2, 5), (1, 3, 4)]
+)
+
+
+@given(small_complexes(), small_complexes(), st.integers(0, 6), st.integers(0, 6))
+@example(_DISCRETE_NON_ISOMORPHISM, _DISCRETE_NON_ISOMORPHISM, 0, 1)
+# both sides turn discrete on different colours, and a colour they share
+# still splits
+@example(
+    from_facets([(0, 1, 2), (0, 1, 3), (0, 2, 4)]),
+    from_facets([(0, 1, 2), (0, 1, 4), (0, 3, 4), (1, 2, 3)]),
+    1,
+    2,
+)
+# a point is discrete at once, but the other side still splits for rounds
+@example(
+    from_facets([(0,)]),
+    from_facets([(0, 2, 4), (0, 3, 4), (0, 3, 5), (0, 4, 5), (1, 2, 5), (1, 2, 6),
+                 (2, 3, 5), (2, 5, 6)]),
+    0,
+    0,
+)
+def test_refine_against_full_rounds(x, y, i, j):
+    uniform = dict.fromkeys(x.vertices, 0), dict.fromkeys(y.vertices, 0)
+    stable = _refine_against_full_rounds(x, y, *uniform)
+    v, w = x.vertices[i % x.num_vertices], y.vertices[j % y.num_vertices]
+    # individualise on the uniform colouring and, as the search does, on
+    # the stable one
+    for cx, cy in (uniform, stable):
+        _refine_against_full_rounds(x, y, {**cx, v: -1}, {**cy, w: -1})
+
+
+def test_refine_stops_at_a_discrete_colouring():
+    x = _DISCRETE_NON_ISOMORPHISM
+    uniform = dict.fromkeys(x.vertices, 0)
+    cx, cy = {**uniform, 0: -1}, {**uniform, 1: -1}
+    gx, gy = _refine(x, x, cx, cy)
+    assert sorted(gx.values()) == sorted(gy.values()) == list(range(6))
+    wx, wy = helpers.refine_by_full_rounds(x, x, cx, cy)
+    assert set(wx.values()) != set(wy.values())
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_refine_against_full_rounds_on_relabelled_tori(d):
+    torus = kuehnel_torus(d)
+    labels = list(torus.vertices)
+    random.Random(d).shuffle(labels)
+    copy = relabel_vertices(torus, {v: 3 * w + 1 for v, w in zip(torus.vertices, labels)})
+    px, py = _refine_against_full_rounds(
+        torus, copy, dict.fromkeys(torus.vertices, 0), dict.fromkeys(copy.vertices, 0)
+    )
+    for w in copy.vertices:
+        _refine_against_full_rounds(torus, copy, {**px, 0: -1}, {**py, w: -1})
 
 
 @pytest.mark.parametrize(

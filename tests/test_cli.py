@@ -1,12 +1,16 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 import helpers
+import trimanifold
 from trimanifold import fct
 from trimanifold.analysis import VertexBijection
-from trimanifold.cli import main
+from trimanifold.cli import build_parser, main
 from trimanifold.complexes import boundary_complex, from_facets, relabel_vertices
 from trimanifold.walkup import kuehnel_solid, kuehnel_torus, random_stacked_ball
 
@@ -300,3 +304,35 @@ def test_verify_runs_class_membership_once(capsys, tmp_path, monkeypatch):
     assert len(calls) == solid.num_vertices
     assert code == 0
     assert [c["holds"] for c in json.loads(out)["checks"]] == [True] * 4
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_in_process_calls_match_separate_processes(capsys, tmp_path):
+    path = tmp_path / "solid.fct"
+    fct.write_fct(kuehnel_solid(3), path)
+    calls = (["betti", str(path)], ["gen", "kuehnel-torus", "--d", "2"])
+    # one shared parser in this process, a fresh one in each child
+    shared = [run(capsys, *argv) for argv in calls]
+    src = os.path.dirname(os.path.dirname(trimanifold.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv, (code, out, err) in zip(calls, shared):
+        child = subprocess.run(
+            [sys.executable, "-m", "trimanifold.cli", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
+
+
+def test_usage_error_leaves_the_parser_usable(capsys, tmp_path):
+    path = tmp_path / "solid.fct"
+    fct.write_fct(kuehnel_solid(3), path)
+    with pytest.raises(SystemExit) as info:
+        main(["check", str(path)])
+    assert info.value.code == 2
+    assert "--checks" in capsys.readouterr().err
+    code, out, _ = run(capsys, "check", str(path), "--checks", "pure")
+    assert code == 0
+    assert [c["id"] for c in json.loads(out)["checks"]] == ["pure"]

@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import helpers
 from trimanifold.complexes import (
@@ -121,6 +121,22 @@ def test_faces_of_dim_against_enumeration():
             assert faces_of_dim(x, k) == frozenset(
                 helpers.faces_by_enumeration(x, k + 1)
             )
+
+
+@given(st.lists(
+    st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True),
+    min_size=1,
+    max_size=8,
+))
+@example([[0], [3], [5]])
+@example([[0, 1, 2], [1, 2, 3], [0, 4, 5]])
+def test_f_vector_against_enumeration(faces):
+    # drawn faces of mixed sizes give non-pure complexes; faces of size one
+    # only give dimension 0, where f_0 is also the facet count
+    x = from_facets(faces)
+    assert f_vector(x).counts == tuple(
+        len(helpers.faces_by_enumeration(x, k + 1)) for k in range(x.dim + 1)
+    )
 
 
 def test_faces_of_dim_bounds():
