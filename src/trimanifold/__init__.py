@@ -43,6 +43,7 @@ from .complexes import (
 from .dualgraph import (
     DualGraph,
     components_minus,
+    cut_node,
     dual_graph,
     high_degree_set,
     is_connected,

@@ -13,7 +13,6 @@ when the input misses the claim's hypothesis, never passing vacuously.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,11 +27,13 @@ from .complexes import (
 from .dualgraph import (
     DualGraph,
     components_minus,
+    cut_node,
     dual_graph,
     high_degree_set,
     is_cycle,
     is_tree,
     is_two_connected,
+    vertex_facet_subgraph,
 )
 from .errors import (
     LemmaHypothesisError,
@@ -59,7 +60,6 @@ __all__ = [
     "uniqueness_reconstruction",
     "theorem_argument_audit",
     "bound_chain_audit",
-    "render_report",
 ]
 
 
@@ -216,27 +216,29 @@ def _require_neighborly_kbar(m: SimplicialComplex):
 def _check_two_connected(m, g, d, n) -> LemmaReport:
     if is_two_connected(g):
         return LemmaReport("2.2", True)
-    cut = None
-    for i in range(g.num_nodes):
-        if len(components_minus(g, {i})) > 1:
-            cut = i
-            break
-    return LemmaReport("2.2", False, {"articulation_node": cut, "nu": g.num_nodes})
+    # Under the hypothesis the facet graph is connected: the facets at a
+    # vertex form the facet graph of its link, a stacked ball and so a tree,
+    # and 2-neighborliness puts any two vertex stars on a common facet.  On a
+    # connected graph the first node whose deletion leaves more than one
+    # component is the smallest articulation node, which is cut_node(g).
+    witness = {"articulation_node": cut_node(g), "nu": g.num_nodes}
+    return LemmaReport("2.2", False, witness)
 
 
 def _check_vertex_trees(m, g, d, n) -> LemmaReport:
     expected = n - d
-    for v, ids in sorted(_vertex_facets(m).items()):
-        sub = g.induced(ids)
-        if len(ids) != expected or not is_tree(sub):
+    for v in m.vertices:
+        sub = vertex_facet_subgraph(m, v)
+        tree = is_tree(sub)
+        if sub.num_nodes != expected or not tree:
             return LemmaReport(
                 "2.3",
                 False,
                 {
                     "vertex": v,
-                    "num_facets": len(ids),
+                    "num_facets": sub.num_nodes,
                     "expected": expected,
-                    "is_tree": is_tree(sub),
+                    "is_tree": tree,
                 },
             )
     return LemmaReport("2.3", True)
@@ -261,46 +263,39 @@ def _check_cycle_bound(m, g, d, n) -> LemmaReport:
     return LemmaReport("2.5", False, {"n": n, "d": d, "cycle": is_cycle(g)})
 
 
-def _chain_paths(g: DualGraph):
-    """Directed simple paths whose internal nodes have degree at most two."""
-    deg = [len(a) for a in g.adjacency]
-    paths = []
-    for u0 in range(g.num_nodes):
-        for u1 in g.adjacency[u0]:
-            path = [u0, u1]
-            paths.append(tuple(path))
-            while deg[path[-1]] <= 2:
-                options = [w for w in g.adjacency[path[-1]] if w != path[-2]]
-                if not options or options[0] in path:
-                    break
-                path.append(options[0])
-                paths.append(tuple(path))
-    return paths
-
-
 def _check_path_lemma(m, g, d, n) -> LemmaReport:
     if n <= 2 * d + 1:
         raise LemmaHypothesisError(
             f"path lemma needs f0 > {2 * d + 1}, instance has f0 = {n}"
         )
-    for path in _chain_paths(g):
-        dropped = []
-        for prev, cur in zip(path, path[1:]):
-            diff = set(g.facets[prev]) - set(g.facets[cur])
-            if len(diff) != 1:
-                raise AssertionError("adjacent facets differ in one vertex")
-            dropped.append(diff.pop())
-        r = len(path) - 1
-        witness = {"path": list(path), "dropped": dropped}
-        if len(set(dropped)) != len(dropped):
-            witness["clause"] = "repeated dropped vertex"
-            return LemmaReport("2.8", False, witness)
-        if not all(x in g.facets[path[0]] for x in dropped):
-            witness["clause"] = "dropped vertex outside first facet"
-            return LemmaReport("2.8", False, witness)
-        if r > d + 1:
-            witness["clause"] = "path too long"
-            return LemmaReport("2.8", False, witness)
+    # One walk per start edge u0 -> u1, dropping one vertex of the last
+    # facet per step, on while the last node has degree two and its next
+    # node is new.  Every shorter prefix passed, so a clause can only fail
+    # on the vertex just dropped; the length clause ends each walk within
+    # d + 2 steps.
+    for u0 in range(g.num_nodes):
+        first = set(g.facets[u0])
+        for nxt in g.adjacency[u0]:
+            path, dropped = [u0], []
+            while nxt is not None:
+                diff = set(g.facets[path[-1]]) - set(g.facets[nxt])
+                if len(diff) != 1:
+                    raise AssertionError("adjacent facets differ in one vertex")
+                v = diff.pop()
+                clause = (
+                    "repeated dropped vertex" if v in dropped
+                    else "dropped vertex outside first facet" if v not in first
+                    else "path too long" if len(path) > d + 1
+                    else None
+                )
+                path.append(nxt)
+                dropped.append(v)
+                if clause:
+                    witness = {"path": path, "dropped": dropped, "clause": clause}
+                    return LemmaReport("2.8", False, witness)
+                options = [w for w in g.adjacency[nxt] if w != path[-2]]
+                ahead = len(options) == 1 and options[0] not in path
+                nxt = options[0] if ahead else None
     return LemmaReport("2.8", True)
 
 
@@ -592,8 +587,3 @@ def theorem_argument_audit(mbar: SimplicialComplex, beta1: int) -> LemmaReport:
         cover_ok = is_cover(mbar, high_degree_set(g))
     return bound_chain_audit(g, n, d, beta1, cover_ok)
 
-
-def render_report(instance: str, checks: list) -> str:
-    """Serialise check outcomes with a stable key order."""
-    body = {"instance": instance, "checks": checks}
-    return json.dumps(body, indent=2) + "\n"

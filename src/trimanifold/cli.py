@@ -134,7 +134,7 @@ def cmd_check(args) -> int:
     if args.dot:
         _write_dot(x, args.dot)
     checks = [_run_check(x, name) for name in names]
-    sys.stdout.write(analysis.render_report(_instance_name(args.input), checks))
+    _emit_json({"instance": _instance_name(args.input), "checks": checks})
     return 0 if all(c["holds"] for c in checks) else 1
 
 
@@ -189,7 +189,7 @@ def cmd_verify(args) -> int:
                     "witness": {"hypothesis_error": str(exc)},
                 }
             )
-    sys.stdout.write(analysis.render_report(_instance_name(args.input), checks))
+    _emit_json({"instance": _instance_name(args.input), "checks": checks})
     return 0 if all(c["holds"] for c in checks) else 1
 
 

@@ -1,14 +1,16 @@
 """Facet adjacency graphs of pure complexes.
 
 Nodes are dense ids 0..nu-1 in canonical facet order; an edge joins two
-facets exactly when they share a codimension-one face.  The graph keeps
-the facet table around so callers can translate ids back to vertex sets.
+facets exactly when they share a codimension-one face.  The graph is one
+adjacency table, a sorted tuple of neighbour ids per node, and every
+question about it (counts, connectivity, articulation nodes, induced
+subgraphs, DOT text) is answered from that table.  The facet table rides
+along so callers can translate ids back to vertex sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .complexes import (
     Face,
@@ -25,6 +27,7 @@ __all__ = [
     "is_connected",
     "is_tree",
     "is_cycle",
+    "cut_node",
     "is_two_connected",
     "components_minus",
     "high_degree_set",
@@ -35,10 +38,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DualGraph:
-    """Undirected simple graph over facet ids, with the facet lookup table."""
+    """Undirected simple graph over facet ids, with the facet lookup table.
+
+    ``adjacency[i]`` is the ascending tuple of the neighbours of node ``i``;
+    each edge appears once from each end.
+    """
 
     facets: tuple[Face, ...]
-    edges: frozenset  # frozenset of (i, j) pairs with i < j
+    adjacency: tuple[tuple[int, ...], ...]
 
     @property
     def num_nodes(self) -> int:
@@ -46,30 +53,23 @@ class DualGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for i, j in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return tuple(tuple(sorted(n)) for n in nbrs)
+        return sum(map(len, self.adjacency)) // 2
 
     def degree(self, i: int) -> int:
         self._check_node(i)
         return len(self.adjacency[i])
 
     def induced(self, ids) -> "DualGraph":
-        """Subgraph induced on the given node ids, renumbered densely in id order."""
+        """Subgraph induced on the given node ids, renumbered densely in id
+        order; costs the degree sum of the kept nodes."""
         ids = sorted(set(ids))
         for i in ids:
             self._check_node(i)
         pos = {i: p for p, i in enumerate(ids)}
-        keep = frozenset(
-            (pos[i], pos[j]) for i, j in self.edges if i in pos and j in pos
+        return DualGraph(
+            tuple(self.facets[i] for i in ids),
+            tuple(tuple(pos[j] for j in self.adjacency[i] if j in pos) for i in ids),
         )
-        return DualGraph(tuple(self.facets[i] for i in ids), keep)
 
     def _check_node(self, i: int) -> None:
         if not isinstance(i, int) or i < 0 or i >= self.num_nodes:
@@ -77,34 +77,31 @@ class DualGraph:
 
 
 def dual_graph(x: SimplicialComplex) -> DualGraph:
-    """Facet adjacency graph of a pure complex, memoised on the complex."""
+    """Facet adjacency graph of a pure complex, memoised on the complex.
+
+    Each ridge links every pair of its facets.  Two distinct facets of one
+    size share at most one ridge, their intersection, so no neighbour is
+    listed twice and the per-node lists need no deduplication.
+    """
     g = x._face_cache.get("dual_graph")
     if g is not None:
         return g
     if not is_pure(x):
         raise PreconditionError("dual graph requires a pure complex")
-    edges: set[tuple[int, int]] = set()
+    nbrs: list[list[int]] = [[] for _ in x.facets]
     for ids in _ridge_incidence(x).values():
         for a in range(len(ids)):
             for b in range(a + 1, len(ids)):
-                edges.add((ids[a], ids[b]))
-    g = DualGraph(x.facets, frozenset(edges))
+                nbrs[ids[a]].append(ids[b])
+                nbrs[ids[b]].append(ids[a])
+    g = DualGraph(x.facets, tuple(tuple(sorted(n)) for n in nbrs))
     x._face_cache["dual_graph"] = g
     return g
 
 
 def is_connected(g: DualGraph) -> bool:
-    """True when the graph is non-empty and every node is reachable from node 0."""
-    if g.num_nodes == 0:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in g.adjacency[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.num_nodes
+    """True when the graph is non-empty and has a single component."""
+    return len(components_minus(g, ())) == 1
 
 
 def is_tree(g: DualGraph) -> bool:
@@ -120,11 +117,17 @@ def is_cycle(g: DualGraph) -> bool:
     )
 
 
-def is_two_connected(g: DualGraph) -> bool:
-    """At least three nodes, connected, and no articulation node."""
-    if g.num_nodes < 3 or not is_connected(g):
-        return False
-    # iterative depth-first search computing discovery and low times
+def cut_node(g: DualGraph):
+    """Smallest articulation node of a connected graph, or ``None``.
+
+    One iterative depth-first search from node 0 computes discovery and
+    low times (Tarjan, "Depth-first search and linear graph algorithms",
+    1972): the root separates the graph when it has two or more tree
+    children, any other node ``p`` when some tree child ``v`` of it has
+    ``low[v] >= disc[p]``.
+    """
+    if g.num_nodes == 0:
+        return None
     disc = [-1] * g.num_nodes
     low = [0] * g.num_nodes
     parent = [-1] * g.num_nodes
@@ -148,15 +151,19 @@ def is_two_connected(g: DualGraph) -> bool:
                 stack.append((w, 0))
             elif w != parent[v]:
                 low[v] = min(low[v], disc[w])
-    if child_of_root > 1:
-        return False
+    cuts = {0} if child_of_root > 1 else set()
     for v in reversed(order):
         p = parent[v]
         if p != -1:
             low[p] = min(low[p], low[v])
             if p != 0 and low[v] >= disc[p]:
-                return False
-    return True
+                cuts.add(p)
+    return min(cuts, default=None)
+
+
+def is_two_connected(g: DualGraph) -> bool:
+    """At least three nodes, connected, and no articulation node."""
+    return g.num_nodes >= 3 and is_connected(g) and cut_node(g) is None
 
 
 def components_minus(g: DualGraph, removed) -> list:
@@ -205,7 +212,7 @@ def to_dot(g: DualGraph) -> str:
     for i, facet in enumerate(g.facets):
         label = " ".join(str(v) for v in facet)
         lines.append(f'  {i} [label="{label}"];')
-    for i, j in sorted(g.edges):
-        lines.append(f"  {i} -- {j};")
+    for i, nbrs in enumerate(g.adjacency):
+        lines.extend(f"  {i} -- {j};" for j in nbrs if j > i)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -3,7 +3,8 @@
 Everything here recomputes answers by definition chasing: global subset
 enumeration for faces and links, dense row reduction for binary ranks,
 Betti numbers from full boundary matrices ranked one at a time,
-delete-a-node sweeps for two-connectivity, reverse peeling for stacked
+delete-a-node sweeps for two-connectivity and cut nodes, chain paths
+stored prefix by prefix for the path lemma, reverse peeling for stacked
 balls, a backtracking peel search for stacked spheres, an all-pairs
 scan for maximal faces, colour refinement on nested tuples run until no
 round splits a class, and a try-every-bijection isomorphism check.  The
@@ -14,6 +15,9 @@ evidence rather than circularity.
 from functools import lru_cache
 from itertools import combinations, permutations
 
+from hypothesis import strategies as st
+
+from trimanifold.analysis import LemmaReport
 from trimanifold.complexes import (
     EMPTY,
     SimplicialComplex,
@@ -22,7 +26,7 @@ from trimanifold.complexes import (
     join,
     relabel_vertices,
 )
-from trimanifold.dualgraph import components_minus, is_connected
+from trimanifold.dualgraph import DualGraph, components_minus, is_connected
 from trimanifold.homology import chain_complex
 from trimanifold.walkup import kuehnel_solid, kuehnel_torus, random_stacked_ball
 
@@ -142,6 +146,15 @@ def betti_by_matrices(x: SimplicialComplex) -> tuple:
     )
 
 
+def graph_from_edges(facets, edges) -> DualGraph:
+    """Graph with one node per facet and the given (i, j) edge pairs."""
+    nbrs = [set() for _ in facets]
+    for i, j in edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    return DualGraph(tuple(facets), tuple(tuple(sorted(n)) for n in nbrs))
+
+
 def two_connected_by_deletion(g) -> bool:
     """Definitional check: no single node separates the graph."""
     if g.num_nodes < 3 or not is_connected(g):
@@ -149,6 +162,49 @@ def two_connected_by_deletion(g) -> bool:
     return all(
         len(components_minus(g, {v})) == 1 for v in range(g.num_nodes)
     )
+
+
+def first_cut_by_deletion(g):
+    """The first node whose deletion leaves more than one component, or
+    ``None``."""
+    return next(
+        (v for v in range(g.num_nodes) if len(components_minus(g, {v})) > 1),
+        None,
+    )
+
+
+def path_lemma_by_prefixes(g, d: int) -> LemmaReport:
+    """Lemma 2.8 on every prefix of every chain path, each prefix checked
+    from scratch, in start-edge order and then by length."""
+    deg = [len(a) for a in g.adjacency]
+    paths = []
+    for u0 in range(g.num_nodes):
+        for u1 in g.adjacency[u0]:
+            path = [u0, u1]
+            paths.append(tuple(path))
+            while deg[path[-1]] <= 2:
+                options = [w for w in g.adjacency[path[-1]] if w != path[-2]]
+                if not options or options[0] in path:
+                    break
+                path.append(options[0])
+                paths.append(tuple(path))
+    for path in paths:
+        dropped = []
+        for prev, cur in zip(path, path[1:]):
+            diff = set(g.facets[prev]) - set(g.facets[cur])
+            assert len(diff) == 1
+            dropped.append(diff.pop())
+        witness = {"path": list(path), "dropped": dropped}
+        if len(set(dropped)) != len(dropped):
+            witness["clause"] = "repeated dropped vertex"
+            return LemmaReport("2.8", False, witness)
+        if not all(x in g.facets[path[0]] for x in dropped):
+            witness["clause"] = "dropped vertex outside first facet"
+            return LemmaReport("2.8", False, witness)
+        if len(path) - 1 > d + 1:
+            witness["clause"] = "path too long"
+            return LemmaReport("2.8", False, witness)
+    return LemmaReport("2.8", True)
 
 
 def peel_stacked_ball(x: SimplicialComplex) -> bool:
@@ -234,6 +290,20 @@ def star_ball(d: int, m: int) -> SimplicialComplex:
 
 def shifted(x: SimplicialComplex, offset: int) -> SimplicialComplex:
     return relabel_vertices(x, {v: v + offset for v in x.vertices})
+
+
+@st.composite
+def small_complexes(draw):
+    """Complexes on at most 7 vertices: pure (one face size) or not."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, min(n, 4)))
+    smallest = k if draw(st.booleans()) else 1
+    faces = draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=smallest, max_size=k, unique=True),
+        min_size=1,
+        max_size=8,
+    ))
+    return from_facets(faces)
 
 
 def corpus() -> list:

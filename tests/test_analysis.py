@@ -1,4 +1,3 @@
-import json
 import random
 from collections import Counter
 from time import perf_counter
@@ -7,8 +6,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import helpers
+from helpers import small_complexes
 from trimanifold.analysis import (
     LEMMA_IDS,
+    _check_path_lemma,
+    _check_two_connected,
     _refine,
     VertexBijection,
     are_isomorphic,
@@ -18,14 +20,13 @@ from trimanifold.analysis import (
     is_critical,
     normalize_lemma_id,
     parameter_solutions,
-    render_report,
     theorem_argument_audit,
     tight_neighborly_check,
     uniqueness_reconstruction,
     verify_lemma,
 )
 from trimanifold.complexes import boundary_complex, from_facets, relabel_vertices
-from trimanifold.dualgraph import DualGraph
+from trimanifold.dualgraph import dual_graph
 from trimanifold.errors import (
     LemmaHypothesisError,
     PreconditionError,
@@ -153,6 +154,48 @@ def test_path_and_cover_lemmas_gate_at_minimal_vertex_count():
         verify_lemma(kuehnel_solid(2), "2.9")
 
 
+def test_two_connected_lemma_names_the_smallest_cut_node():
+    # two triangles joined at node 2, and a pendant node 5 on node 4
+    g = helpers.graph_from_edges(
+        [(i,) for i in range(6)],
+        [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 5)],
+    )
+    report = _check_two_connected(None, g, 2, 6)
+    assert report.lemma_id == "2.2"
+    assert not report.holds
+    assert report.witness == {"articulation_node": 2, "nu": 6}
+
+
+def test_path_lemma_against_prefix_oracle():
+    cases = []
+    for dim in (1, 2, 3, 4):
+        for m in (1, 2, 5, 12):
+            for seed in range(3):
+                ball = random_stacked_ball(dim, m, seed=seed)
+                cases += [ball, boundary_complex(ball)]
+    for dim in (2, 3, 4, 5):
+        cases += [kuehnel_solid(dim), kuehnel_torus(dim)]
+    verdicts = Counter()
+    for x in cases:
+        g = dual_graph(x)
+        for d in range(x.dim + 3):
+            report = _check_path_lemma(x, g, d, 10**6)
+            assert report == helpers.path_lemma_by_prefixes(g, d), (x, d)
+            verdicts[report.witness["clause"] if report.witness else None] += 1
+    assert verdicts[None] and verdicts["dropped vertex outside first facet"]
+    assert verdicts["path too long"]
+    # no complex above drops a vertex twice along a chain; a hand-built
+    # path of facets does: 0 leaves, comes back, and leaves again
+    g = helpers.graph_from_edges(
+        [(0, 1), (1, 2), (0, 2), (2, 3)], [(0, 1), (1, 2), (2, 3)]
+    )
+    report = _check_path_lemma(None, g, 3, 10**6)
+    assert report == helpers.path_lemma_by_prefixes(g, 3)
+    assert report.witness == {
+        "path": [0, 1, 2, 3], "dropped": [0, 1, 0], "clause": "repeated dropped vertex"
+    }
+
+
 def test_lemma_ids_are_published():
     assert LEMMA_IDS == ("2.2", "2.3", "2.4", "2.5", "2.8", "2.9")
 
@@ -206,20 +249,6 @@ def test_isomorphism_under_random_permutation(rng):
     other = relabel_vertices(torus, perm)
     bij = are_isomorphic(torus, other)
     assert bij is not None and bij.maps_complex(torus, other)
-
-
-@st.composite
-def small_complexes(draw):
-    """Complexes on at most 7 vertices: pure (one face size) or not."""
-    n = draw(st.integers(1, 7))
-    k = draw(st.integers(1, min(n, 4)))
-    smallest = k if draw(st.booleans()) else 1
-    faces = draw(st.lists(
-        st.lists(st.integers(0, n - 1), min_size=smallest, max_size=k, unique=True),
-        min_size=1,
-        max_size=8,
-    ))
-    return from_facets(faces)
 
 
 @given(small_complexes(), small_complexes(), st.permutations(range(7)))
@@ -406,9 +435,9 @@ def test_bound_chain_audit_degenerate_cycle_case():
 def test_bound_chain_audit_contradiction_branch():
     # a four-cycle with one chord has cycle rank two; the chain then
     # pushes the minimal vertex count past the cover bound
-    g = DualGraph(
+    g = helpers.graph_from_edges(
         ((0,), (1,), (2,), (3,)),
-        frozenset({(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)}),
+        [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)],
     )
     report = bound_chain_audit(g, 35, 13, 2)
     assert report.holds
@@ -418,23 +447,7 @@ def test_bound_chain_audit_contradiction_branch():
 
 
 def test_bound_chain_audit_detects_mismatched_beta():
-    g = DualGraph(((0,), (1,)), frozenset({(0, 1)}))
+    g = helpers.graph_from_edges(((0,), (1,)), [(0, 1)])
     report = bound_chain_audit(g, 9, 3, 1)
     assert not report.holds
 
-
-def test_render_report_golden_bytes():
-    text = render_report("demo", [{"id": "pure", "holds": True, "witness": None}])
-    assert text == (
-        '{\n'
-        '  "instance": "demo",\n'
-        '  "checks": [\n'
-        '    {\n'
-        '      "id": "pure",\n'
-        '      "holds": true,\n'
-        '      "witness": null\n'
-        '    }\n'
-        '  ]\n'
-        '}\n'
-    )
-    assert json.loads(text)["instance"] == "demo"

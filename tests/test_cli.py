@@ -114,6 +114,25 @@ def test_check_unknown_name_exits_two(capsys, tmp_path):
     assert "bogus" in err
 
 
+def test_check_json_golden_bytes(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    fct.write_fct(helpers.simplex(2), "t.fct")
+    code, out, _ = run(capsys, "check", "t.fct", "--checks", "pure")
+    assert code == 0
+    assert out == (
+        '{\n'
+        '  "instance": "t.fct",\n'
+        '  "checks": [\n'
+        '    {\n'
+        '      "id": "pure",\n'
+        '      "holds": true,\n'
+        '      "witness": null\n'
+        '    }\n'
+        '  ]\n'
+        '}\n'
+    )
+
+
 def test_check_reads_stdin(capsys, monkeypatch):
     import io
 
