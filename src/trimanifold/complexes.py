@@ -153,9 +153,23 @@ def from_facets(faces: Iterable[Iterable[int]]) -> SimplicialComplex:
     and at most k steps per kept face through its rarest vertex, so the
     build is near linear in the input when vertex degrees are bounded; a
     scan of every larger face would be quadratic.
+
+    Labels are checked once for the whole input: every vertex of every
+    face is an ``int`` (a ``bool`` is not) and the smallest is not
+    negative.  When that fails, the faces are checked again one at a time
+    in input order, so the error names the first bad label.
     """
-    canon = {_as_face(f) for f in faces}
-    canon.discard(())
+    faces = list(faces)
+    try:
+        canon = {tuple(sorted(set(f))) for f in faces}
+        canon.discard(())
+        types = set(map(type, itertools.chain.from_iterable(canon)))
+        labelled = types <= {int} and min(canon, default=(0,))[0] >= 0
+    except TypeError:
+        labelled = False
+    if not labelled:
+        canon = {_as_face(f) for f in faces}
+        canon.discard(())
     if not canon:
         raise EmptyComplexError("at least one non-empty face is required")
     groups: dict[int, list[Face]] = {}

@@ -6,10 +6,10 @@ Betti numbers from full boundary matrices ranked one at a time,
 delete-a-node sweeps for two-connectivity and cut nodes, chain paths
 stored prefix by prefix for the path lemma, reverse peeling for stacked
 balls, a backtracking peel search for stacked spheres, an all-pairs
-scan for maximal faces, colour refinement on nested tuples run until no
-round splits a class, and a try-every-bijection isomorphism check.  The
-point is independence from the fast paths in the package, so agreement is
-evidence rather than circularity.
+scan for maximal faces, colour refinement on nested tuples a round at a
+time until no round splits a class, and a try-every-bijection
+isomorphism check.  The point is independence from the fast paths in the
+package, so agreement is evidence rather than circularity.
 """
 
 from functools import lru_cache
@@ -65,9 +65,10 @@ def isomorphic_by_permutations(x: SimplicialComplex, y: SimplicialComplex) -> bo
     return False
 
 
-def refine_by_full_rounds(x: SimplicialComplex, y: SimplicialComplex, cx: dict, cy: dict):
-    """Joint colour refinement of ``x`` and ``y`` on nested tuples, a round
-    at a time until a round adds no colour class.
+def refine_rounds(x: SimplicialComplex, y: SimplicialComplex, cx: dict, cy: dict):
+    """Joint colour refinement of ``x`` and ``y`` on nested tuples: yield
+    the colouring pair of each round, up to the first round that adds no
+    colour class.
 
     A facet's colour is the sorted tuple of its vertex colours, a vertex's
     signature its old colour with the sorted tuple of its facet colours,
@@ -87,9 +88,16 @@ def refine_by_full_rounds(x: SimplicialComplex, y: SimplicialComplex, cx: dict, 
         number = {s: k for k, s in enumerate(joint)}
         cx = {v: number[s] for v, s in sigs[0].items()}
         cy = {v: number[s] for v, s in sigs[1].items()}
+        yield cx, cy
         if len(number) == classes:
-            return cx, cy
+            return
         classes = len(number)
+
+
+def refine_by_full_rounds(x: SimplicialComplex, y: SimplicialComplex, cx: dict, cy: dict):
+    """The stable pair of :func:`refine_rounds`: its last round."""
+    *_, last = refine_rounds(x, y, cx, cy)
+    return last
 
 
 def faces_by_enumeration(x: SimplicialComplex, size: int) -> set:

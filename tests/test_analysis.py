@@ -271,20 +271,28 @@ def test_isomorphism_against_every_bijection(x, y, labels):
 def _refine_against_full_rounds(x, y, cx, cy):
     """``_refine`` next to the full-round oracle; returns ``_refine``'s pair.
 
-    They differ only where ``_refine`` stops at a discrete colouring whose
-    colour-matching bijection is no isomorphism: full rounds then split a
-    matched pair apart, so the class sizes of the two sides differ.  The
-    search drops both colourings, so its answers are the same.
+    When the two sides of ``_refine``'s pair use different colours, it is
+    the first full round whose two colour sets differ, dict for dict.
+    Otherwise it is the stable pair, except where ``_refine`` stops at a
+    discrete colouring whose colour-matching bijection is no isomorphism:
+    full rounds then split a matched pair apart, so the class sizes of the
+    two sides differ.  The search drops every such pair, so its answers
+    are the same.
     """
     got = _refine(x, y, cx, cy)
-    want = helpers.refine_by_full_rounds(x, y, cx, cy)
-    if got != want:
-        gx, gy = got
-        assert len(set(gx.values())) == len(gx) and set(gx.values()) == set(gy.values())
+    rounds = list(helpers.refine_rounds(x, y, cx, cy))
+    gx, gy = got
+    if set(gx.values()) != set(gy.values()):
+        assert got == next(
+            (a, b) for a, b in rounds if set(a.values()) != set(b.values())
+        )
+    elif got != rounds[-1]:
+        assert len(set(gx.values())) == len(gx)
         image = {c: w for w, c in gy.items()}
         bij = VertexBijection(tuple((v, image[gx[v]]) for v in x.vertices))
         assert not bij.maps_complex(x, y)
-        assert Counter(want[0].values()) != Counter(want[1].values())
+        wx, wy = rounds[-1]
+        assert Counter(wx.values()) != Counter(wy.values())
     return got
 
 
@@ -304,6 +312,14 @@ _DISCRETE_NON_ISOMORPHISM = from_facets(
     from_facets([(0, 1, 2), (0, 1, 4), (0, 3, 4), (1, 2, 3)]),
     1,
     2,
+)
+# the sides share their colours after round 1 and part at round 2; round 3
+# renumbers again, so stopping a round early or late shows
+@example(
+    from_facets([(0, 1), (0, 4), (1, 3), (1, 4), (1, 5), (2, 3), (3, 5)]),
+    from_facets([(0, 3), (1, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5)]),
+    0,
+    0,
 )
 # a point is discrete at once, but the other side still splits for rounds
 @example(

@@ -1,16 +1,21 @@
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 import trimanifold
 from trimanifold import fct
-from trimanifold.analysis import VertexBijection
-from trimanifold.cli import build_parser, main
+from trimanifold.analysis import LEMMA_IDS, VertexBijection
+from trimanifold.cli import CHECK_NAMES, build_parser, main
 from trimanifold.complexes import boundary_complex, from_facets, relabel_vertices
 from trimanifold.walkup import kuehnel_solid, kuehnel_torus, random_stacked_ball
 
@@ -355,3 +360,57 @@ def test_usage_error_leaves_the_parser_usable(capsys, tmp_path):
     code, out, _ = run(capsys, "check", str(path), "--checks", "pure")
     assert code == 0
     assert [c["id"] for c in json.loads(out)["checks"]] == ["pure"]
+
+
+@st.composite
+def facet_lists(draw):
+    """Raw facet lists on at most 7 vertices: 1 to 8 faces of 1 to 5
+    vertices each, sub-faces and repeats included."""
+    n = draw(st.integers(1, 7))
+    face = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 5), unique=True)
+    return draw(st.lists(face, min_size=1, max_size=8))
+
+
+def _fct_text(faces) -> str:
+    return "".join(" ".join(map(str, f)) + "\n" for f in faces)
+
+
+def _quiet_main(*argv) -> int:
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        return main(list(argv))
+
+
+@settings(max_examples=200, deadline=None)
+@given(facet_lists(), facet_lists(), st.permutations(range(7)), st.data())
+def test_cli_never_fails_internally(faces, other, labels, data):
+    # exit 3 is an internal error: no input the parser accepts may cause
+    # it; sigma2 is a facet disjoint from sigma1 where there is one, so that
+    # some handles are admissible
+    facets = helpers.maximal_faces_by_pairs(faces)
+    sigma1 = data.draw(st.sampled_from(facets))
+    apart = [f for f in facets if not set(f) & set(sigma1)]
+    sigma2 = data.draw(st.sampled_from(apart or facets))
+    images = data.draw(st.permutations(sigma2))
+    psi = ",".join(f"{s}:{t}" for s, t in zip(sigma1, images))
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        a, b, copy = work / "a.fct", work / "b.fct", work / "copy.fct"
+        a.write_text(_fct_text(faces))
+        b.write_text(_fct_text(other))
+        copy.write_text(_fct_text([[3 * labels[v] + 1 for v in f] for f in faces]))
+        calls = [
+            ("check", str(a), "--checks", ",".join(CHECK_NAMES)),
+            ("check", str(a), "--checks", "pure", "--dot", str(work / "a.dot")),
+            ("betti", str(a)),
+            ("verify", str(a), "--lemmas", ",".join(LEMMA_IDS)),
+            ("iso", str(a), str(copy)),
+            ("iso", str(a), str(b)),
+            ("bar", str(a), "-o", str(work / "bar.fct")),
+            ("boundary", str(a), "-o", str(work / "boundary.fct")),
+            ("handle", str(a), "--sigma1", ",".join(map(str, sigma1)),
+             "--sigma2", ",".join(map(str, sigma2)), "--psi", psi,
+             "-o", str(work / "handle.fct")),
+        ]
+        for argv in calls:
+            assert _quiet_main(*argv) in (0, 1, 2), argv

@@ -48,6 +48,18 @@ def test_from_facets_rejects_bad_labels():
         from_facets([(True, 2)])
 
 
+def test_from_facets_checks_every_face_for_bad_labels():
+    # True equals 1, so a check over the distinct vertices would take the
+    # bool for the int of the first face
+    with pytest.raises(ValueError, match="True"):
+        from_facets([(1, 3), (True, 2)])
+    with pytest.raises(ValueError, match="-4"):
+        from_facets(iter([(0, 1, 2), (1, 2, 3), (3, -4)]))
+    # the error names the first bad label in input order
+    with pytest.raises(ValueError, match="'a'"):
+        from_facets([(0, 1), ("a", "b"), ("c", 2)])
+
+
 def test_empty_input_is_rejected():
     # the EMPTY constant is the only spelling of the void complex
     with pytest.raises(EmptyComplexError):
