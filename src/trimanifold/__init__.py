@@ -35,10 +35,8 @@ from .complexes import (
     is_pseudomanifold,
     is_pure,
     is_weak_pseudomanifold,
-    join,
     link,
     relabel_vertices,
-    star,
 )
 from .dualgraph import (
     DualGraph,

@@ -272,7 +272,11 @@ def _check_path_lemma(m, g, d, n) -> LemmaReport:
     # facet per step, on while the last node has degree two and its next
     # node is new.  Every shorter prefix passed, so a clause can only fail
     # on the vertex just dropped; the length clause ends each walk within
-    # d + 2 steps.
+    # d + 2 steps.  Through verify_lemma, d is the dimension, so the first
+    # facet has d + 1 vertices: once d + 1 distinct vertices of it have
+    # been dropped, the next one is repeated or outside it, and "path too
+    # long" cannot fire there.  It stays for direct calls with d < dim,
+    # which the prefix-oracle test makes.
     for u0 in range(g.num_nodes):
         first = set(g.facets[u0])
         for nxt in g.adjacency[u0]:

@@ -35,8 +35,6 @@ from .errors import (
     EmptyComplexError,
     NotAFaceError,
     PreconditionError,
-    UnknownVertexError,
-    VertexClashError,
 )
 
 __all__ = [
@@ -47,8 +45,6 @@ __all__ = [
     "faces_of_dim",
     "f_vector",
     "link",
-    "star",
-    "join",
     "is_pure",
     "is_weak_pseudomanifold",
     "is_pseudomanifold",
@@ -125,12 +121,6 @@ class SimplicialComplex:
     @property
     def num_vertices(self) -> int:
         return len(self.vertices)
-
-    def has_face(self, alpha: Iterable[int]) -> bool:
-        a = set(alpha)
-        if not a:
-            return bool(self.facets)
-        return bool(_facets_containing(self, a))
 
     def __repr__(self) -> str:  # cache never shown
         return f"SimplicialComplex({list(self.facets)!r})"
@@ -252,24 +242,6 @@ def link(x: SimplicialComplex, alpha: Iterable[int]) -> SimplicialComplex:
     if not gens[0]:
         return EMPTY
     return SimplicialComplex(tuple(gens))
-
-
-def star(x: SimplicialComplex, v: int) -> SimplicialComplex:
-    """Subcomplex generated by the facets containing vertex ``v``."""
-    ids = _vertex_facets(x).get(v)
-    if not ids:
-        raise UnknownVertexError(f"vertex {v} not in complex")
-    return SimplicialComplex(tuple(x.facets[i] for i in ids))
-
-
-def join(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComplex:
-    """Simplicial join; operand vertex sets must be disjoint."""
-    clash = set(x.vertices) & set(y.vertices)
-    if clash:
-        raise VertexClashError(f"operands share vertices {sorted(clash)}")
-    return SimplicialComplex(
-        tuple(sorted(tuple(sorted(f + g)) for f in x.facets for g in y.facets))
-    )
 
 
 def is_pure(x: SimplicialComplex) -> bool:

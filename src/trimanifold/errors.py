@@ -25,10 +25,6 @@ class NotAFaceError(TriManifoldError):
     """The given vertex set is not a face of the complex."""
 
 
-class UnknownVertexError(TriManifoldError):
-    """The given vertex does not occur in the complex."""
-
-
 class VertexClashError(TriManifoldError):
     """Join operands share a vertex label."""
 

@@ -6,8 +6,9 @@ Betti numbers from full boundary matrices ranked one at a time,
 delete-a-node sweeps for two-connectivity and cut nodes, chain paths
 stored prefix by prefix for the path lemma, reverse peeling for stacked
 balls, a backtracking peel search for stacked spheres, an all-pairs
-scan for maximal faces, colour refinement on nested tuples a round at a
-time until no round splits a class, and a try-every-bijection
+scan for maximal faces, a pivotless search over global pair and triple
+masks for the bar construction, colour refinement on nested tuples a
+round at a time until no round splits a class, and a try-every-bijection
 isomorphism check.  The point is independence from the fast paths in the
 package, so agreement is evidence rather than circularity.
 """
@@ -22,17 +23,28 @@ from trimanifold.complexes import (
     EMPTY,
     SimplicialComplex,
     boundary_complex,
+    faces_of_dim,
     from_facets,
-    join,
     relabel_vertices,
 )
 from trimanifold.dualgraph import DualGraph, components_minus, is_connected
+from trimanifold.errors import VertexClashError
 from trimanifold.homology import chain_complex
 from trimanifold.walkup import kuehnel_solid, kuehnel_torus, random_stacked_ball
 
 
 def simplex(d: int) -> SimplicialComplex:
     return from_facets([range(d + 1)])
+
+
+def join(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComplex:
+    """Simplicial join; operand vertex sets must be disjoint."""
+    clash = set(x.vertices) & set(y.vertices)
+    if clash:
+        raise VertexClashError(f"operands share vertices {sorted(clash)}")
+    return SimplicialComplex(
+        tuple(sorted(tuple(sorted(f + g)) for f in x.facets for g in y.facets))
+    )
 
 
 def maximal_faces_by_pairs(faces) -> tuple:
@@ -98,6 +110,52 @@ def refine_by_full_rounds(x: SimplicialComplex, y: SimplicialComplex, cx: dict, 
     """The stable pair of :func:`refine_rounds`: its last round."""
     *_, last = refine_rounds(x, y, cx, cy)
     return last
+
+
+def bar_by_global_masks(m: SimplicialComplex) -> SimplicialComplex:
+    """The maximal vertex sets all of whose pairs are edges and all of whose
+    triples are triangles of ``m``, by a Bron-Kerbosch search without a
+    pivot over an n-bit edge mask per vertex and an n-by-n table of
+    triangle masks; it visits every face of the result."""
+    verts = m.vertices
+    n = len(verts)
+    pos = {v: i for i, v in enumerate(verts)}
+    edge_mask = [0] * n
+    if m.dim >= 1:
+        for a, b in faces_of_dim(m, 1):
+            ia, ib = pos[a], pos[b]
+            edge_mask[ia] |= 1 << ib
+            edge_mask[ib] |= 1 << ia
+    tri_mask = [[0] * n for _ in range(n)]
+    if m.dim >= 2:
+        for a, b, c in faces_of_dim(m, 2):
+            ia, ib, ic = pos[a], pos[b], pos[c]
+            tri_mask[ia][ib] |= 1 << ic
+            tri_mask[ib][ia] |= 1 << ic
+            tri_mask[ia][ic] |= 1 << ib
+            tri_mask[ic][ia] |= 1 << ib
+            tri_mask[ib][ic] |= 1 << ia
+            tri_mask[ic][ib] |= 1 << ia
+    results: list[tuple[int, ...]] = []
+
+    def expand(chosen: list[int], p: int, x: int) -> None:
+        if p == 0 and x == 0:
+            results.append(tuple(verts[i] for i in chosen))
+            return
+        while p:
+            v = (p & -p).bit_length() - 1
+            bit = 1 << v
+            allowed = edge_mask[v]
+            for r in chosen:
+                allowed &= tri_mask[r][v]
+            chosen.append(v)
+            expand(chosen, (p & ~bit) & allowed, x & allowed)
+            chosen.pop()
+            p &= ~bit
+            x |= bit
+
+    expand([], (1 << n) - 1, 0)
+    return from_facets(results)
 
 
 def faces_by_enumeration(x: SimplicialComplex, size: int) -> set:

@@ -285,6 +285,19 @@ def test_handle_rejects_malformed_psi(capsys, tmp_path):
     assert "input error" in err
 
 
+def test_handle_refuses_a_zero_dimensional_input(capsys, tmp_path):
+    points = tmp_path / "points.fct"
+    fct.write_fct(from_facets([(0,), (1,), (2,)]), points)
+    code, out, err = run(
+        capsys, "handle", str(points),
+        "--sigma1", "0", "--sigma2", "1", "--psi", "0:1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == ("input error: a handle needs dimension >= 1,"
+                   " the input has dimension 0\n")
+
+
 def test_json_output_is_deterministic(capsys, tmp_path):
     path = tmp_path / "solid.fct"
     fct.write_fct(kuehnel_solid(3), path)

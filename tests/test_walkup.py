@@ -1,10 +1,13 @@
 import hashlib
+import tracemalloc
 from time import perf_counter
+from unittest import mock
 
 import pytest
+from hypothesis import example, given
 
 import helpers
-from trimanifold import fct
+from trimanifold import fct, walkup
 from trimanifold.complexes import (
     boundary_complex,
     f_vector,
@@ -214,11 +217,66 @@ def test_bar_construction_refills_stacked_balls():
     for d, m in ((4, 10), (5, 8)):
         ball = helpers.path_ball(d, m)
         assert bar_construction(boundary_complex(ball)) == ball
+    # the boundary of a stacked d-ball is a stacked (d-1)-sphere; for d >= 4
+    # its closure is the ball, for d = 3 the sphere itself
+    for d in (3, 4, 5, 6):
+        for seed in range(4):
+            ball = random_stacked_ball(d, 30, seed=seed)
+            sphere = boundary_complex(ball)
+            closure = bar_construction(sphere)
+            assert closure == helpers.bar_by_global_masks(sphere), (d, seed)
+            assert closure == (ball if d >= 4 else sphere), (d, seed)
 
 
 def test_bar_construction_refills_cyclic_solids():
-    assert bar_construction(kuehnel_torus(4)) == kuehnel_solid(4)
-    assert bar_construction(kuehnel_torus(5)) == kuehnel_solid(5)
+    for d in range(2, 11):
+        closure = bar_construction(kuehnel_torus(d))
+        assert closure == helpers.bar_by_global_masks(kuehnel_torus(d)), d
+        assert closure == (kuehnel_solid(d) if d >= 3 else kuehnel_torus(d)), d
+
+
+@given(helpers.small_complexes())
+# the search at vertex 1 prunes both of its candidates by the pivot 0; at
+# vertex 0 a pivot that kept every candidate it allows would lose (0, 2, 3)
+@example(from_facets([(0, 1, 2), (0, 1, 3), (0, 2, 3)]))
+def test_bar_construction_matches_global_masks(x):
+    with mock.patch.object(walkup, "from_facets", wraps=from_facets) as build:
+        closure = bar_construction(x)
+    assert closure == helpers.bar_by_global_masks(x)
+    # the search lists each maximal set once and nothing else
+    (listed,), _ = build.call_args
+    assert sorted(tuple(sorted(f)) for f in listed) == list(closure.facets)
+
+
+def test_bar_construction_of_large_inputs_within_budget():
+    t0 = perf_counter()
+    closure = bar_construction(kuehnel_torus(16))
+    dt = perf_counter() - t0
+    assert closure == kuehnel_solid(16)
+    assert dt < 1.0, f"bar_construction(kuehnel_torus(16)) took {dt:.2f} s"
+    # a 3-sphere on 20004 vertices: n-by-n triangle masks would take gigabytes
+    ball = random_stacked_ball(4, 20000, seed=3)
+    sphere = boundary_complex(ball)
+    t0 = perf_counter()
+    closure = bar_construction(sphere)
+    dt = perf_counter() - t0
+    assert closure == ball
+    assert dt < 5.0, f"bar_construction of the 20004-vertex sphere took {dt:.2f} s"
+
+
+def test_bar_construction_peak_memory_within_budget():
+    sphere = boundary_complex(random_stacked_ball(3, 5000, seed=1))
+    # a cone whose apex, labelled 0, neighbours every other vertex
+    cone = from_facets((0,) + tuple(v + 1 for v in f) for f in sphere.facets)
+    for name, x in (("sphere", sphere), ("cone", cone)):
+        tracemalloc.start()
+        try:
+            closure = bar_construction(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert closure == x, name
+        assert peak < 20 * 2**20, f"{name}: peak {peak / 2**20:.1f} MiB"
 
 
 def test_handle_map_validation():
