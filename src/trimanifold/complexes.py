@@ -133,16 +133,8 @@ def from_facets(faces: Iterable[Iterable[int]]) -> SimplicialComplex:
     """Build a complex from generating faces.
 
     Faces may arrive in any order with duplicates; faces contained in a
-    larger face are absorbed.  At least one non-empty face is required.
-
-    Absorption works through a vertex index.  Faces are taken in groups of
-    equal size, largest first; the largest group is kept whole.  A smaller
-    face is absorbed when one of the kept larger faces through its rarest
-    vertex contains it, the test of :func:`_facets_containing` on the
-    complex being built.  Testing a face of size k costs k index lookups
-    and at most k steps per kept face through its rarest vertex, so the
-    build is near linear in the input when vertex degrees are bounded; a
-    scan of every larger face would be quadratic.
+    larger face are absorbed, as :func:`_from_canonical` describes.  At
+    least one non-empty face is required.
 
     Labels are checked once for the whole input: every vertex of every
     face is an ``int`` (a ``bool`` is not) and the smallest is not
@@ -160,6 +152,22 @@ def from_facets(faces: Iterable[Iterable[int]]) -> SimplicialComplex:
     if not labelled:
         canon = {_as_face(f) for f in faces}
         canon.discard(())
+    return _from_canonical(canon)
+
+
+def _from_canonical(canon: set) -> SimplicialComplex:
+    """The complex generated by ``canon``, a set of faces that are already
+    sorted tuples of distinct non-negative int labels, without ``()``.
+
+    Absorption works through a vertex index.  Faces are taken in groups of
+    equal size, largest first; the largest group is kept whole.  A smaller
+    face is absorbed when one of the kept larger faces through its rarest
+    vertex contains it, the test of :func:`_facets_containing` on the
+    complex being built.  Testing a face of size k costs k index lookups
+    and at most k steps per kept face through its rarest vertex, so the
+    build is near linear in the input when vertex degrees are bounded; a
+    scan of every larger face would be quadratic.
+    """
     if not canon:
         raise EmptyComplexError("at least one non-empty face is required")
     groups: dict[int, list[Face]] = {}
@@ -253,13 +261,14 @@ def is_pure(x: SimplicialComplex) -> bool:
 
 
 def _vertex_facets(x: SimplicialComplex) -> dict:
-    """Memoised map from each vertex to the ascending ids of its facets."""
+    """Memoised map from each vertex, in ascending order, to the ascending
+    ids of its facets."""
     index = x._face_cache.get("vertex_facets")
     if index is None:
-        index = {}
+        index = {v: [] for v in x.vertices}
         for i, facet in enumerate(x.facets):
             for v in facet:
-                index.setdefault(v, []).append(i)
+                index[v].append(i)
         x._face_cache["vertex_facets"] = index
     return index
 

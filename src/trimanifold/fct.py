@@ -1,10 +1,27 @@
 """Plain-text facet lists (FCT).
 
-One facet per line as space-separated decimal vertex labels, ``#`` starts
-a comment, blank lines are skipped.  Readers canonicalise through
-:func:`~trimanifold.complexes.from_facets`; writers emit facets in
-lexicographic order with no trailing whitespace, so equal complexes
-serialise to identical bytes.
+One facet per line as space-separated vertex labels, ``#`` starts a
+comment, blank lines are skipped.  A label is decimal: ASCII digits
+``0``-``9``, optionally after a ``-`` (``-0`` reads as 0; any other
+``-`` label is reported as negative).  Signs ``+``, digit separators
+``_`` and non-ASCII digits are not labels.  Comments may hold any text.
+
+:func:`loads` reads the text in one pass when the comment-stripped
+lines are ASCII and hold no ``_``, ``+`` or ``-``: the lines go through
+``int`` into a set of sorted faces in one comprehension, with no
+per-token Python loop, and that set goes straight to the absorption step
+of :func:`~trimanifold.complexes.from_facets`, which neither checks
+labels nor sorts faces again.  On such text ``int`` accepts exactly the
+tokens made of ASCII digits, so every label it returns is valid.  When
+the pass does not run or ``int`` refuses a token, the lines are read
+again one token at a time.  That replay raises
+:class:`~trimanifold.errors.FctFormatError` for the first token that is
+not a label or is negative, naming its 1-based line; when every token is
+a label (``-0``, or text split by non-ASCII whitespace), its faces go
+through :func:`~trimanifold.complexes.from_facets`.
+
+Writers emit facets in lexicographic order with no trailing whitespace,
+so equal complexes serialise to identical bytes.
 """
 
 from __future__ import annotations
@@ -13,7 +30,7 @@ import io
 import os
 from typing import TextIO
 
-from .complexes import SimplicialComplex, from_facets
+from .complexes import SimplicialComplex, _from_canonical, from_facets
 from .errors import EmptyComplexError, FctFormatError
 
 __all__ = ["loads", "dumps", "read_fct", "write_fct"]
@@ -21,27 +38,58 @@ __all__ = ["loads", "dumps", "read_fct", "write_fct"]
 
 def loads(text: str) -> SimplicialComplex:
     """Parse facet-list text into a canonical complex."""
-    facets = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
+    bodies = [raw.split("#", 1)[0] for raw in text.splitlines()]
+    try:
+        if _unsigned_ascii(bodies):
+            try:
+                canon = {tuple(sorted(set(map(int, b.split())))) for b in bodies}
+            except ValueError:  # a token that is not a number
+                pass
+            else:
+                canon.discard(())
+                return _from_canonical(canon)
+        return from_facets(_faces_by_line(bodies))
+    except EmptyComplexError:
+        raise FctFormatError(0, "no facets in input") from None
+
+
+def _unsigned_ascii(bodies: list) -> bool:
+    """Whether the comment-stripped lines ``bodies`` are ASCII and hold no
+    ``_``, ``+`` or ``-``, so that ``int`` reads every token it accepts
+    as an unsigned decimal label.  The joined copy is dropped on return,
+    before the faces are built."""
+    text = "".join(bodies)
+    return text.isascii() and not ("_" in text or "+" in text or "-" in text)
+
+
+def _faces_by_line(bodies: list) -> list:
+    """The faces on the comment-stripped lines ``bodies``, read one line
+    and one token at a time: the first token that is not a label, or is
+    negative, raises :class:`FctFormatError` naming its line."""
+    faces = []
+    for lineno, body in enumerate(bodies, start=1):
         labels = []
         for token in body.split():
-            try:
-                v = int(token, 10)
-            except ValueError:
-                raise FctFormatError(lineno, f"bad vertex label {token!r}") from None
+            v = _label(token)
+            if v is None:
+                raise FctFormatError(lineno, f"bad vertex label {token!r}")
             if v < 0:
                 raise FctFormatError(lineno, f"negative vertex label {v}")
             labels.append(v)
-        facets.append(labels)
-    if not facets:
-        raise FctFormatError(0, "no facets in input")
+        if labels:
+            faces.append(labels)
+    return faces
+
+
+def _label(token: str) -> int | None:
+    """The value of a decimal label token, or ``None`` when it is not one."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        return None
     try:
-        return from_facets(facets)
-    except EmptyComplexError:
-        raise FctFormatError(0, "no facets in input") from None
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 def dumps(x: SimplicialComplex) -> str:

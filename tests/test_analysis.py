@@ -7,11 +7,13 @@ from hypothesis import example, given, strategies as st
 
 import helpers
 from helpers import small_complexes
+from trimanifold import analysis
 from trimanifold.analysis import (
     LEMMA_IDS,
     _check_path_lemma,
     _check_two_connected,
     _refine,
+    _seed,
     VertexBijection,
     are_isomorphic,
     bound_chain_audit,
@@ -25,7 +27,12 @@ from trimanifold.analysis import (
     uniqueness_reconstruction,
     verify_lemma,
 )
-from trimanifold.complexes import boundary_complex, from_facets, relabel_vertices
+from trimanifold.complexes import (
+    _vertex_facets,
+    boundary_complex,
+    from_facets,
+    relabel_vertices,
+)
 from trimanifold.dualgraph import dual_graph
 from trimanifold.errors import (
     LemmaHypothesisError,
@@ -360,6 +367,94 @@ def test_refine_against_full_rounds_on_relabelled_tori(d):
     )
     for w in copy.vertices:
         _refine_against_full_rounds(torus, copy, {**px, 0: -1}, {**py, w: -1})
+
+
+@given(small_complexes(), small_complexes(), st.permutations(range(7)))
+@example(
+    from_facets([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]),
+    from_facets([(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6)]),
+    [6, 5, 4, 3, 2, 1, 0],
+)
+@example(_DISCRETE_NON_ISOMORPHISM, _DISCRETE_NON_ISOMORPHISM, list(range(7)))
+@example(
+    from_facets([(0, 1, 2), (0, 1, 3), (0, 2, 4)]),
+    from_facets([(0, 1, 2), (0, 1, 4), (0, 3, 4), (1, 2, 3)]),
+    list(range(7)),
+)
+@example(
+    from_facets([(0, 1), (0, 4), (1, 3), (1, 4), (1, 5), (2, 3), (3, 5)]),
+    from_facets([(0, 3), (1, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5)]),
+    list(range(7)),
+)
+@example(
+    from_facets([(0,)]),
+    from_facets([(0, 2, 4), (0, 3, 4), (0, 3, 5), (0, 4, 5), (1, 2, 5), (1, 2, 6),
+                 (2, 3, 5), (2, 5, 6)]),
+    list(range(7)),
+)
+# vertex size tuples (2,), (2, 2), (2, 3) and (3,): one a prefix of the next
+@example(
+    from_facets([(0, 1, 2), (2, 3), (3, 4)]),
+    from_facets([(0, 1), (1, 2), (2, 3, 4)]),
+    [3, 1, 4, 0, 6, 5, 2],
+)
+def test_seed_is_the_first_round_and_keeps_every_answer(x, y, labels):
+    copy = relabel_vertices(x, {v: 3 * labels[v] + 1 for v in x.vertices})
+    for a, b in ((x, y), (y, x), (x, copy)):
+        zeros = dict.fromkeys(a.vertices, 0), dict.fromkeys(b.vertices, 0)
+        assert _seed(a, b) == next(helpers.refine_rounds(a, b, *zeros))
+        assert are_isomorphic(a, b) == helpers.are_isomorphic_from_zero(a, b)
+
+
+def _refine_work(monkeypatch, search, x, y):
+    """``search(x, y)`` with its work counted: the answer, the calls of
+    ``_refine`` and the full rounds they ran (a round reads the vertex
+    index of each side once)."""
+    calls = reads = 0
+    inside = False
+    refine, index = analysis._refine, analysis._vertex_facets
+
+    def counted_refine(*args):
+        nonlocal calls, inside
+        calls += 1
+        inside = True
+        try:
+            return refine(*args)
+        finally:
+            inside = False
+
+    def counted_index(z):
+        nonlocal reads
+        reads += inside
+        return index(z)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_refine", counted_refine)
+        patch.setattr(analysis, "_vertex_facets", counted_index)
+        answer = search(x, y)
+    return answer, calls, reads // 2
+
+
+def test_spheres_with_different_degree_sets_part_without_refining(monkeypatch):
+    a = boundary_complex(random_stacked_ball(3, 60, seed=1))
+    b = boundary_complex(random_stacked_ball(3, 60, seed=2))
+    degrees = [{len(ids) for ids in _vertex_facets(z).values()} for z in (a, b)]
+    assert degrees[0] != degrees[1]
+    assert _refine_work(monkeypatch, are_isomorphic, a, b) == (None, 0, 0)
+    from_zero = _refine_work(monkeypatch, helpers.are_isomorphic_from_zero, a, b)
+    assert from_zero == (None, 1, 1)
+
+
+@pytest.mark.parametrize("d, m, seed", [(3, 60, 3), (4, 80, 4), (5, 50, 5)])
+def test_a_relabelled_sphere_runs_one_round_fewer(monkeypatch, d, m, seed):
+    sphere = boundary_complex(random_stacked_ball(d, m, seed=seed))
+    labels = list(sphere.vertices)
+    random.Random(seed).shuffle(labels)
+    copy = relabel_vertices(sphere, dict(zip(sphere.vertices, labels)))
+    bij, calls, rounds = _refine_work(monkeypatch, are_isomorphic, sphere, copy)
+    old = _refine_work(monkeypatch, helpers.are_isomorphic_from_zero, sphere, copy)
+    assert bij is not None and bij == old[0]
+    assert (calls, rounds) == (old[1], old[2] - 1)
 
 
 @pytest.mark.parametrize(

@@ -156,6 +156,13 @@ def test_parse_error_carries_line_number(capsys, monkeypatch):
     assert "line 2" in err
 
 
+def test_non_decimal_label_exits_two_naming_its_line(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 1 2\n0 1_0\n"))
+    code, out, err = run(capsys, "check", "-", "--checks", "pure")
+    assert (code, out) == (2, "")
+    assert err == "input error: line 2: bad vertex label '1_0'\n"
+
+
 def test_missing_file_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "betti", str(tmp_path / "absent.fct"))
     assert code == 2

@@ -4,7 +4,7 @@ from itertools import combinations
 from time import perf_counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import helpers
 from trimanifold import fct
@@ -30,6 +30,91 @@ def test_loads_reports_line_numbers():
     with pytest.raises(FctFormatError) as info:
         fct.loads("0 1\n2 -3\n")
     assert info.value.line == 2
+
+
+@pytest.mark.parametrize("token", ["1_0", "+1", "\u0663", "-\u0663", "\uff11", "\u00b2"])
+def test_labels_are_ascii_decimal(token):
+    # int() reads the first five as 10, 1, 3, -3 and 1 (a fullwidth one);
+    # a superscript two it refuses as well
+    with pytest.raises(FctFormatError) as info:
+        fct.loads(f"0 1 2\n0 {token}\n")
+    assert (info.value.line, str(info.value)) == (
+        2, f"line 2: bad vertex label {token!r}"
+    )
+
+
+def test_comments_and_minus_zero_stay_readable():
+    x = fct.loads("# \u00fcber 1_0 +1 \u0663\n-0 1 2  # \u2603 +3\n")
+    assert x.facets == ((0, 1, 2),)
+    # non-ASCII whitespace splits tokens as str.split does
+    assert fct.loads("0\u00a01\u20032\n").facets == ((0, 1, 2),)
+
+
+def test_negative_label_is_named_with_its_line():
+    with pytest.raises(FctFormatError) as info:
+        fct.loads("0 1\n# -5\n2 -3 -4\n")
+    assert (info.value.line, str(info.value)) == (3, "line 3: negative vertex label -3")
+
+
+def test_plain_text_is_read_without_the_replay(monkeypatch):
+    def replay(bodies):
+        raise AssertionError("line-by-line replay on plain text")
+
+    monkeypatch.setattr(fct, "_faces_by_line", replay)
+    text = "# \u00fcber -1 1_0 +2\r\n0 1 2\n\n2  1\t0 # dup\n1 3\n3\n"
+    assert fct.loads(text).facets == ((0, 1, 2), (1, 3))
+    with pytest.raises(AssertionError):
+        fct.loads("-0 1 2\n")
+
+
+_NOT_LABELS = ["x", "1.5", "-", "--1", "0x1", "1e3", "1-2", "\u00e9", "9" * 5000]
+
+
+@st.composite
+def noisy_fct(draw):
+    """FCT text of a small complex with noise: shuffled duplicates, absorbed
+    sub-faces, comments (non-ASCII, ``_`` and ``+`` among them), blank
+    lines, runs of spaces and tabs, LF or CRLF ends, and on a few random
+    lines a token that is not a label or is negative."""
+    x = draw(helpers.small_complexes())
+    rng = draw(st.randoms(use_true_random=False))
+    faces = list(x.facets)
+    faces += [rng.sample(f, len(f)) for f in x.facets if rng.random() < 0.5]
+    faces += [
+        rng.sample(f, rng.randrange(1, len(f)))
+        for f in x.facets if len(f) > 1 and rng.random() < 0.5
+    ]
+    lines = [
+        rng.choice([" ", "  ", "\t"]).join(map(str, f))
+        + rng.choice(["", "  # dup \u00e9 1_0 +2", "#x"])
+        for f in faces
+    ]
+    lines += rng.choices(["# comment", "", "   ", "\t", "#\u0663 -1"], k=rng.randrange(4))
+    rng.shuffle(lines)
+    for _ in range(draw(st.integers(0, 2))):
+        token = draw(st.sampled_from([*_NOT_LABELS, "-3", "-12", "-0"]))
+        i = rng.randrange(len(lines))
+        lines[i] = f"{token} {lines[i]}"
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + eol
+
+
+def _outcome(load, text):
+    """The complex ``load`` reads from ``text``, or its error's line and
+    message."""
+    try:
+        return load(text)
+    except FctFormatError as exc:
+        return exc.line, str(exc)
+
+
+@given(noisy_fct())
+@example("")
+@example("# only a comment\r\n\r\n")
+@example("0 1\r\n2 -3\r\n4 x\n")
+@example("0 1 x\n-0 -0\n")
+def test_one_pass_reads_like_the_line_parser(text):
+    assert _outcome(fct.loads, text) == _outcome(helpers.loads_by_lines, text)
 
 
 def test_loads_rejects_empty_input():
