@@ -185,8 +185,6 @@ def is_cover(m: SimplicialComplex, facet_ids) -> bool:
 
 # --- lemma registry ---------------------------------------------------------
 
-LEMMA_IDS = ("2.2", "2.3", "2.4", "2.5", "2.8", "2.9")
-
 
 def normalize_lemma_id(lemma_id: str) -> str:
     lid = lemma_id.strip()
@@ -324,6 +322,7 @@ _LEMMA_CHECKS = {
     "2.8": _check_path_lemma,
     "2.9": _check_degree_three_cover,
 }
+LEMMA_IDS = tuple(_LEMMA_CHECKS)
 
 
 def verify_lemma(m: SimplicialComplex, lemma_id: str) -> LemmaReport:
@@ -379,42 +378,39 @@ def _refine(x: SimplicialComplex, y: SimplicialComplex, cx: dict, cy: dict):
     matched pair apart; either way the search finds no isomorphism below
     that colouring, and stopping here saves those rounds.
 
-    Round 1 from the all-zero colourings is what :func:`_seed` computes
-    from facet sizes alone, colour for colour.  In that round a facet of
-    size k has colour ``(0,) * k``, and one such tuple is a proper prefix
-    of another exactly when it is shorter, so the facet numbers rank the
-    sizes: ``r(k) < r(l)`` exactly when ``k < l``.  A vertex's signature
-    is ``(0, *sorted(r(k) for its facet sizes k))``; the leading 0 is
-    common to all, and replacing each ``r(k)`` by ``k`` in a sorted tuple
-    keeps it sorted and keeps the order between any two tuples, element
-    by element and a shorter tuple first when it is a prefix of the other,
-    because ``r`` is increasing.  So the sorted size tuples of the seed
-    are numbered in the same order as the round-1 signatures, and the two
-    joint numberings agree.  For a pure pair the signature is just the
-    vertex degree.
+    A round from a single class, where every vertex of both sides has
+    colour ``c``, builds no colour tuple: a facet's size stands for its
+    number.  Its colour is ``(c,) * k`` for its size ``k``, and one such
+    tuple is a proper prefix of another exactly when it is shorter, so the
+    sizes are in the order of the colours.  Sorting a star and comparing
+    two signatures depend on that order alone, so the signatures are
+    numbered as they would be from the colour numbers.  For a pure pair
+    the signature then amounts to the degree.
 
     Cost: a round is one pass over the facets of both complexes on integer
     colours, plus two sorts: the distinct facet colours, then the vertex
-    signatures.  :func:`are_isomorphic` starts from the seed, so the first
-    round it pays for is round 2; the seed itself sorts only the facet
-    sizes at each vertex.
+    signatures.  The single-class round reads only the facet sizes.
     """
     classes = len(set(cx.values()) | set(cy.values()))
     while True:
-        colours = [
-            [tuple(sorted(map(c.__getitem__, f))) for f in z.facets]
-            for z, c in ((x, cx), (y, cy))
-        ]
-        rank = {
-            t: k for k, t in enumerate(sorted(set(colours[0]).union(colours[1])))
-        }
-        sigs = []
-        for z, c, fc in ((x, cx, colours[0]), (y, cy, colours[1])):
-            ranks = list(map(rank.__getitem__, fc))
-            sigs.append({
-                v: (c[v], *sorted(map(ranks.__getitem__, ids)))
+        if classes == 1:
+            ranks = [list(map(len, z.facets)) for z in (x, y)]
+        else:
+            colours = [
+                [tuple(sorted(map(c.__getitem__, f))) for f in z.facets]
+                for z, c in ((x, cx), (y, cy))
+            ]
+            rank = {
+                t: k for k, t in enumerate(sorted(set(colours[0]).union(colours[1])))
+            }
+            ranks = [list(map(rank.__getitem__, fc)) for fc in colours]
+        sigs = [
+            {
+                v: (c[v], *sorted(map(r.__getitem__, ids)))
                 for v, ids in _vertex_facets(z).items()
-            })
+            }
+            for z, c, r in zip((x, y), (cx, cy), ranks)
+        ]
         seen = set(sigs[0].values()), set(sigs[1].values())
         number = {s: k for k, s in enumerate(sorted(seen[0] | seen[1]))}
         cx = {v: number[s] for v, s in sigs[0].items()}
@@ -425,28 +421,6 @@ def _refine(x: SimplicialComplex, y: SimplicialComplex, cx: dict, cy: dict):
         if len(number) == classes or discrete:
             return cx, cy
         classes = len(number)
-
-
-def _seed(x: SimplicialComplex, y: SimplicialComplex):
-    """The colouring pair that one round of :func:`_refine` gives from the
-    all-zero colourings, built from facet sizes (see :func:`_refine` for
-    the proof): a vertex's signature is the sorted tuple of the sizes of
-    its facets, and the signatures of both sides are numbered together in
-    sorted order.  On a pure complex that tuple repeats the one facet size
-    as often as the vertex degree."""
-    sigs = []
-    for z in (x, y):
-        sizes = list(map(len, z.facets))
-        sigs.append({
-            v: tuple(sorted(map(sizes.__getitem__, ids)))
-            for v, ids in _vertex_facets(z).items()
-        })
-    joint = sorted(set(sigs[0].values()) | set(sigs[1].values()))
-    number = {s: k for k, s in enumerate(joint)}
-    return (
-        {v: number[s] for v, s in sigs[0].items()},
-        {v: number[s] for v, s in sigs[1].items()},
-    )
 
 
 def are_isomorphic(x: SimplicialComplex, y: SimplicialComplex):
@@ -469,40 +443,27 @@ def are_isomorphic(x: SimplicialComplex, y: SimplicialComplex):
     is tried, ``phi(v)`` among them, and at the discrete leaf of that branch
     ``phi`` is the only colour-preserving bijection left.
 
-    The search starts from :func:`_seed`, which equals the first round of
-    :func:`_refine` from the all-zero colourings colour for colour (the
-    proof is in :func:`_refine`).  The seed meets the stop rules of that
-    round as the round would: when the two sides' colour sets differ, the
-    colouring is discrete, or there is one class, refinement stops there;
-    only otherwise does :func:`_refine` go on from the seed, with as many
-    classes as that round left.  So every later round, the branch order
-    and every bijection returned are what refinement from the all-zero
-    colourings gives.  Individualised branches still refine through
-    :func:`_refine`.
-
-    Cost: the seed replaces the first full round, which from the all-zero
-    colourings only counts facet sizes at each vertex.  A relabelled
-    stacked sphere needs two or three rounds in all, so the seed saves a
-    third to a half of its refinement.  Two complexes whose vertices do
-    not show the same set of facet-size signatures (for pure complexes,
-    the same set of degrees) part at the seed with no round at all; two
-    non-isomorphic stacked spheres of equal size usually do.  A round
-    costs what :func:`_refine` says.  A branch whose refinement reaches a
-    discrete colouring stops there rather than after one more round to
-    confirm it, and a branch whose two sides stop sharing their colours
-    dies after that round rather than after the rounds that would make it
-    stable.  The number of rounds of a branch that stays alive still grows
-    with the diameter, so long symmetric inputs (large polygons, boundaries
-    of long path balls) spend their time there.
+    Cost: the search starts from the all-zero colourings, so its first
+    round reads only facet sizes.  A relabelled stacked sphere needs two
+    or three rounds in all.  Two complexes whose vertices do not show the
+    same set of facet-size signatures (for pure complexes, the same set of
+    degrees) part after that first round; two non-isomorphic stacked
+    spheres of equal size usually do.  A round costs what :func:`_refine`
+    says.  A branch whose refinement reaches a discrete colouring stops
+    there rather than after one more round to confirm it, and a branch
+    whose two sides stop sharing their colours dies after that round
+    rather than after the rounds that would make it stable.  The number of
+    rounds of a branch that stays alive still grows with the diameter, so
+    long symmetric inputs (large polygons, boundaries of long path balls)
+    spend their time there.
     """
     if (x.dim, len(x.facets), x.num_vertices) != (
         y.dim, len(y.facets), y.num_vertices
     ):
         return None
-    cx, cy = _seed(x, y)
-    shared = set(cx.values())
-    if shared == set(cy.values()) and 1 < len(shared) < len(cx):
-        cx, cy = _refine(x, y, cx, cy)
+    cx, cy = _refine(
+        x, y, dict.fromkeys(x.vertices, 0), dict.fromkeys(y.vertices, 0)
+    )
     frames = []
     while True:
         sizes = Counter(cx.values())
@@ -628,18 +589,16 @@ def bound_chain_audit(
         witness["degenerate_cycle"] = degenerate_ok
         witness["equation"] = equation_ok
         holds = t_bound_ok and graph_matches and degenerate_ok and equation_ok
-        if cover_ok is not None:
-            holds = holds and cover_ok
-        return LemmaReport("tightness-chain", holds, witness)
-    bound_n = 2 * (beta1 - 1) * (d + 2)
-    target = beta1 * (d + 1) * (d + 2)
-    m = d + 3
-    while (m - d - 1) * (m - d - 2) < target:
-        m += 1
-    witness["n_bound_from_chain"] = bound_n
-    witness["n_min_from_equation"] = m
-    witness["contradiction"] = m > bound_n
-    holds = t_bound_ok and graph_matches and (m > bound_n)
+    else:
+        bound_n = 2 * (beta1 - 1) * (d + 2)
+        target = beta1 * (d + 1) * (d + 2)
+        m = d + 3
+        while (m - d - 1) * (m - d - 2) < target:
+            m += 1
+        witness["n_bound_from_chain"] = bound_n
+        witness["n_min_from_equation"] = m
+        witness["contradiction"] = m > bound_n
+        holds = t_bound_ok and graph_matches and (m > bound_n)
     if cover_ok is not None:
         holds = holds and cover_ok
     return LemmaReport("tightness-chain", holds, witness)

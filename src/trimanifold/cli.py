@@ -28,17 +28,6 @@ from .complexes import (
 from .dualgraph import dual_graph, to_dot
 from .errors import LemmaHypothesisError, PreconditionError, TriManifoldError
 
-CHECK_NAMES = (
-    "pure",
-    "pm",
-    "neighborly",
-    "stacked-ball",
-    "stacked-sphere",
-    "class-k",
-    "class-kbar",
-    "tight-neighborly",
-)
-
 
 def _read_input(path: str) -> SimplicialComplex:
     if path == "-":
@@ -73,41 +62,44 @@ def _write_dot(x: SimplicialComplex, path: str) -> None:
         fh.write(to_dot(g))
 
 
+def _class_verdict(x: SimplicialComplex, kbar: bool) -> tuple:
+    report = walkup.class_membership(x)
+    holds = report.in_class_kbar if kbar else report.in_class_k
+    return holds, None if holds else {"failing_vertex": report.failing_vertex}
+
+
+def _tight_verdict(x: SimplicialComplex) -> tuple:
+    tr = analysis.tight_neighborly_check(x)
+    return tr.satisfies_inequality, {
+        "equality": tr.is_equality,
+        "lhs": tr.lhs,
+        "rhs": tr.rhs,
+        "beta1": tr.beta1,
+    }
+
+
+# check name -> (holds, witness) on a complex.  Each entry looks its
+# function up when called, so a patched module attribute is the one that runs.
+_CHECKS = {
+    "pure": lambda x: (is_pure(x), None),
+    "pm": lambda x: (is_pseudomanifold(x), None),
+    "neighborly": lambda x: (is_neighborly(x, 2), None),
+    "stacked-ball": lambda x: (walkup.is_stacked_ball(x), None),
+    "stacked-sphere": lambda x: (walkup.is_stacked_sphere(x), None),
+    "class-k": lambda x: _class_verdict(x, kbar=False),
+    "class-kbar": lambda x: _class_verdict(x, kbar=True),
+    "tight-neighborly": _tight_verdict,
+}
+CHECK_NAMES = tuple(_CHECKS)
+
+
 def _run_check(x: SimplicialComplex, name: str) -> dict:
     """One verdict of the named check on ``x``."""
-    result: dict = {"id": name, "holds": None, "witness": None}
     try:
-        if name == "pure":
-            result["holds"] = is_pure(x)
-        elif name == "pm":
-            result["holds"] = is_pseudomanifold(x)
-        elif name == "neighborly":
-            result["holds"] = is_neighborly(x, 2)
-        elif name == "stacked-ball":
-            result["holds"] = walkup.is_stacked_ball(x)
-        elif name == "stacked-sphere":
-            result["holds"] = walkup.is_stacked_sphere(x)
-        elif name in ("class-k", "class-kbar"):
-            report = walkup.class_membership(x)
-            holds = report.in_class_k if name == "class-k" else report.in_class_kbar
-            result["holds"] = holds
-            if not holds:
-                result["witness"] = {"failing_vertex": report.failing_vertex}
-        elif name == "tight-neighborly":
-            tr = analysis.tight_neighborly_check(x)
-            result["holds"] = tr.satisfies_inequality
-            result["witness"] = {
-                "equality": tr.is_equality,
-                "lhs": tr.lhs,
-                "rhs": tr.rhs,
-                "beta1": tr.beta1,
-            }
-        else:
-            raise ValueError(f"unknown check {name!r}")
-    except (PreconditionError,) as exc:
-        result["holds"] = False
-        result["witness"] = {"error": str(exc)}
-    return result
+        holds, witness = _CHECKS[name](x)
+    except PreconditionError as exc:
+        holds, witness = False, {"error": str(exc)}
+    return {"id": name, "holds": holds, "witness": witness}
 
 
 def cmd_gen(args) -> int:

@@ -1,7 +1,11 @@
 """Plain-text facet lists (FCT).
 
 One facet per line as space-separated vertex labels, ``#`` starts a
-comment, blank lines are skipped.  A label is decimal: ASCII digits
+comment, blank lines are skipped.  Lines end at ``\\n``, ``\\r\\n`` or
+``\\r``, the universal newlines that :func:`read_fct` and standard input
+apply, so a string and a file holding it read alike; other characters
+that :meth:`str.splitlines` breaks at, such as ``\\f`` or U+2028, are
+whitespace inside a line.  A label is decimal: ASCII digits
 ``0``-``9``, optionally after a ``-`` (``-0`` reads as 0; any other
 ``-`` label is reported as negative).  Signs ``+``, digit separators
 ``_`` and non-ASCII digits are not labels.  Comments may hold any text.
@@ -38,7 +42,8 @@ __all__ = ["loads", "dumps", "read_fct", "write_fct"]
 
 def loads(text: str) -> SimplicialComplex:
     """Parse facet-list text into a canonical complex."""
-    bodies = [raw.split("#", 1)[0] for raw in text.splitlines()]
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    bodies = [raw.split("#", 1)[0] for raw in lines]
     try:
         if _unsigned_ascii(bodies):
             try:

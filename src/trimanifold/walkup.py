@@ -193,8 +193,6 @@ def class_membership(m: SimplicialComplex) -> ClassReport:
         return report
     if not m.facets or not is_pure(m):
         raise PreconditionError("class membership requires a non-empty pure complex")
-    in_k = True
-    in_kbar = True
     k_fail: int | None = None
     kbar_fail: int | None = None
     for v in m.vertices:
@@ -208,14 +206,12 @@ def class_membership(m: SimplicialComplex) -> ClassReport:
             k_fail = v
         if not ball_ok and kbar_fail is None:
             kbar_fail = v
-        in_k = in_k and sphere_ok
-        in_kbar = in_kbar and ball_ok
-    failing = None
-    if not in_k:
-        failing = k_fail
-    elif not in_kbar:
-        failing = kbar_fail
-    report = ClassReport(in_k, in_kbar, failing, m.dim)
+    report = ClassReport(
+        k_fail is None,
+        kbar_fail is None,
+        kbar_fail if k_fail is None else k_fail,
+        m.dim,
+    )
     m._face_cache["class_membership"] = report
     return report
 

@@ -12,19 +12,17 @@ round at a time until no round splits a class, and a try-every-bijection
 isomorphism check.  The point is independence from the fast paths in the
 package, so agreement is evidence rather than circularity.
 
-Two oracles keep an earlier form of an entry point instead: the isomorphism
-search refining from the all-zero colourings, and the FCT reader that
-converts one token at a time.
+One oracle keeps an earlier form of an entry point instead: the FCT
+reader that converts one token at a time.
 """
 
-from collections import Counter
+import io
 from functools import lru_cache
 from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
-from trimanifold import analysis
-from trimanifold.analysis import LemmaReport, VertexBijection
+from trimanifold.analysis import LemmaReport
 from trimanifold.complexes import (
     EMPTY,
     SimplicialComplex,
@@ -118,45 +116,13 @@ def refine_by_full_rounds(x: SimplicialComplex, y: SimplicialComplex, cx: dict, 
     return last
 
 
-def are_isomorphic_from_zero(x: SimplicialComplex, y: SimplicialComplex):
-    """The isomorphism search of :func:`trimanifold.analysis.are_isomorphic`
-    started from the all-zero colourings: the first refinement is a full
-    :func:`trimanifold.analysis._refine` call, looked up on the module at
-    each call so that a test can count its work."""
-    if (x.dim, len(x.facets), x.num_vertices) != (
-        y.dim, len(y.facets), y.num_vertices
-    ):
-        return None
-    cx, cy = analysis._refine(
-        x, y, dict.fromkeys(x.vertices, 0), dict.fromkeys(y.vertices, 0)
-    )
-    frames = []
-    while True:
-        sizes = Counter(cx.values())
-        if sizes == Counter(cy.values()):
-            split = min((c for c, k in sizes.items() if k > 1), default=None)
-            if split is None:
-                image = {c: w for w, c in cy.items()}
-                bij = VertexBijection(tuple((v, image[cx[v]]) for v in x.vertices))
-                if bij.maps_complex(x, y):
-                    return bij
-            else:
-                v = next(u for u in x.vertices if cx[u] == split)
-                todo = [w for w in reversed(y.vertices) if cy[w] == split]
-                frames.append((cx, cy, v, todo))
-        while frames and not frames[-1][3]:
-            frames.pop()
-        if not frames:
-            return None
-        px, py, v, todo = frames[-1]
-        cx, cy = analysis._refine(x, y, {**px, v: -1}, {**py, todo.pop(): -1})
-
-
 def loads_by_lines(text: str) -> SimplicialComplex:
     """FCT text read one line and one token at a time, each token through
-    ``int``; the first bad or negative label raises naming its line."""
+    ``int``; the first bad or negative label raises naming its line.  Lines
+    end where a text file or standard input ends them (universal
+    newlines)."""
     facets = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue

@@ -13,7 +13,6 @@ from trimanifold.analysis import (
     _check_path_lemma,
     _check_two_connected,
     _refine,
-    _seed,
     VertexBijection,
     are_isomorphic,
     bound_chain_audit,
@@ -258,6 +257,13 @@ def test_isomorphism_under_random_permutation(rng):
     assert bij is not None and bij.maps_complex(torus, other)
 
 
+# six triangles on which individualising 0 against 1 refines to a discrete
+# colouring that is no isomorphism; the full rounds split it further
+_DISCRETE_NON_ISOMORPHISM = from_facets(
+    [(0, 2, 4), (0, 2, 5), (0, 3, 5), (1, 2, 3), (1, 2, 5), (1, 3, 4)]
+)
+
+
 @given(small_complexes(), small_complexes(), st.permutations(range(7)))
 # a triangle and a square: refinement cannot tell their vertices apart, and
 # the first candidate of y lies on the wrong cycle, so the search backtracks
@@ -265,6 +271,23 @@ def test_isomorphism_under_random_permutation(rng):
     from_facets([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]),
     from_facets([(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6)]),
     [6, 5, 4, 3, 2, 1, 0],
+)
+@example(_DISCRETE_NON_ISOMORPHISM, _DISCRETE_NON_ISOMORPHISM, list(range(7)))
+@example(
+    from_facets([(0, 1, 2), (0, 1, 3), (0, 2, 4)]),
+    from_facets([(0, 1, 2), (0, 1, 4), (0, 3, 4), (1, 2, 3)]),
+    list(range(7)),
+)
+@example(
+    from_facets([(0, 1), (0, 4), (1, 3), (1, 4), (1, 5), (2, 3), (3, 5)]),
+    from_facets([(0, 3), (1, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5)]),
+    list(range(7)),
+)
+@example(
+    from_facets([(0,)]),
+    from_facets([(0, 2, 4), (0, 3, 4), (0, 3, 5), (0, 4, 5), (1, 2, 5), (1, 2, 6),
+                 (2, 3, 5), (2, 5, 6)]),
+    list(range(7)),
 )
 def test_isomorphism_against_every_bijection(x, y, labels):
     copy = relabel_vertices(x, {v: 3 * labels[v] + 1 for v in x.vertices})
@@ -303,13 +326,6 @@ def _refine_against_full_rounds(x, y, cx, cy):
     return got
 
 
-# six triangles on which individualising 0 against 1 refines to a discrete
-# colouring that is no isomorphism; the full rounds split it further
-_DISCRETE_NON_ISOMORPHISM = from_facets(
-    [(0, 2, 4), (0, 2, 5), (0, 3, 5), (1, 2, 3), (1, 2, 5), (1, 3, 4)]
-)
-
-
 @given(small_complexes(), small_complexes(), st.integers(0, 6), st.integers(0, 6))
 @example(_DISCRETE_NON_ISOMORPHISM, _DISCRETE_NON_ISOMORPHISM, 0, 1)
 # both sides turn discrete on different colours, and a colour they share
@@ -333,6 +349,14 @@ _DISCRETE_NON_ISOMORPHISM = from_facets(
     from_facets([(0,)]),
     from_facets([(0, 2, 4), (0, 3, 4), (0, 3, 5), (0, 4, 5), (1, 2, 5), (1, 2, 6),
                  (2, 3, 5), (2, 5, 6)]),
+    0,
+    0,
+)
+# the vertex facet sizes (2,), (2, 2), (2, 3) and (3,): one a prefix of the
+# next, which the single-class round must number shorter first
+@example(
+    from_facets([(0, 1, 2), (2, 3), (3, 4)]),
+    from_facets([(0, 1), (1, 2), (2, 3, 4)]),
     0,
     0,
 )
@@ -369,47 +393,10 @@ def test_refine_against_full_rounds_on_relabelled_tori(d):
         _refine_against_full_rounds(torus, copy, {**px, 0: -1}, {**py, w: -1})
 
 
-@given(small_complexes(), small_complexes(), st.permutations(range(7)))
-@example(
-    from_facets([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]),
-    from_facets([(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6)]),
-    [6, 5, 4, 3, 2, 1, 0],
-)
-@example(_DISCRETE_NON_ISOMORPHISM, _DISCRETE_NON_ISOMORPHISM, list(range(7)))
-@example(
-    from_facets([(0, 1, 2), (0, 1, 3), (0, 2, 4)]),
-    from_facets([(0, 1, 2), (0, 1, 4), (0, 3, 4), (1, 2, 3)]),
-    list(range(7)),
-)
-@example(
-    from_facets([(0, 1), (0, 4), (1, 3), (1, 4), (1, 5), (2, 3), (3, 5)]),
-    from_facets([(0, 3), (1, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5)]),
-    list(range(7)),
-)
-@example(
-    from_facets([(0,)]),
-    from_facets([(0, 2, 4), (0, 3, 4), (0, 3, 5), (0, 4, 5), (1, 2, 5), (1, 2, 6),
-                 (2, 3, 5), (2, 5, 6)]),
-    list(range(7)),
-)
-# vertex size tuples (2,), (2, 2), (2, 3) and (3,): one a prefix of the next
-@example(
-    from_facets([(0, 1, 2), (2, 3), (3, 4)]),
-    from_facets([(0, 1), (1, 2), (2, 3, 4)]),
-    [3, 1, 4, 0, 6, 5, 2],
-)
-def test_seed_is_the_first_round_and_keeps_every_answer(x, y, labels):
-    copy = relabel_vertices(x, {v: 3 * labels[v] + 1 for v in x.vertices})
-    for a, b in ((x, y), (y, x), (x, copy)):
-        zeros = dict.fromkeys(a.vertices, 0), dict.fromkeys(b.vertices, 0)
-        assert _seed(a, b) == next(helpers.refine_rounds(a, b, *zeros))
-        assert are_isomorphic(a, b) == helpers.are_isomorphic_from_zero(a, b)
-
-
-def _refine_work(monkeypatch, search, x, y):
-    """``search(x, y)`` with its work counted: the answer, the calls of
-    ``_refine`` and the full rounds they ran (a round reads the vertex
-    index of each side once)."""
+def _refine_work(monkeypatch, x, y):
+    """``are_isomorphic(x, y)`` with its work counted: the answer, the calls
+    of ``_refine`` and the rounds they ran (a round reads the vertex index
+    of each side once)."""
     calls = reads = 0
     inside = False
     refine, index = analysis._refine, analysis._vertex_facets
@@ -431,18 +418,22 @@ def _refine_work(monkeypatch, search, x, y):
     with monkeypatch.context() as patch:
         patch.setattr(analysis, "_refine", counted_refine)
         patch.setattr(analysis, "_vertex_facets", counted_index)
-        answer = search(x, y)
+        answer = are_isomorphic(x, y)
     return answer, calls, reads // 2
 
 
-def test_spheres_with_different_degree_sets_part_without_refining(monkeypatch):
+def _uniform(x, y):
+    return dict.fromkeys(x.vertices, 0), dict.fromkeys(y.vertices, 0)
+
+
+def test_spheres_with_different_degree_sets_part_at_the_root_round(monkeypatch):
     a = boundary_complex(random_stacked_ball(3, 60, seed=1))
     b = boundary_complex(random_stacked_ball(3, 60, seed=2))
     degrees = [{len(ids) for ids in _vertex_facets(z).values()} for z in (a, b)]
     assert degrees[0] != degrees[1]
-    assert _refine_work(monkeypatch, are_isomorphic, a, b) == (None, 0, 0)
-    from_zero = _refine_work(monkeypatch, helpers.are_isomorphic_from_zero, a, b)
-    assert from_zero == (None, 1, 1)
+    cx, cy = next(helpers.refine_rounds(a, b, *_uniform(a, b)))
+    assert set(cx.values()) != set(cy.values())
+    assert _refine_work(monkeypatch, a, b) == (None, 1, 1)
 
 
 @pytest.mark.parametrize("d, m, seed", [(3, 60, 3), (4, 80, 4), (5, 50, 5)])
@@ -451,10 +442,12 @@ def test_a_relabelled_sphere_runs_one_round_fewer(monkeypatch, d, m, seed):
     labels = list(sphere.vertices)
     random.Random(seed).shuffle(labels)
     copy = relabel_vertices(sphere, dict(zip(sphere.vertices, labels)))
-    bij, calls, rounds = _refine_work(monkeypatch, are_isomorphic, sphere, copy)
-    old = _refine_work(monkeypatch, helpers.are_isomorphic_from_zero, sphere, copy)
-    assert bij is not None and bij == old[0]
-    assert (calls, rounds) == (old[1], old[2] - 1)
+    bij, calls, rounds = _refine_work(monkeypatch, sphere, copy)
+    assert bij is not None and bij.maps_complex(sphere, copy)
+    # the root refinement turns the pair discrete, one round before the
+    # full rounds confirm that no class splits
+    full = list(helpers.refine_rounds(sphere, copy, *_uniform(sphere, copy)))
+    assert (calls, rounds) == (1, len(full) - 1) == (1, {3: 3, 4: 2, 5: 2}[d])
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,17 @@ def test_loads_reports_line_numbers():
     assert info.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_only_newlines_end_lines(char):
+    # str.splitlines breaks at these too; FCT reads them as whitespace
+    assert fct.loads(f"0 1{char}2 3\n").facets == ((0, 1, 2, 3),)
+    with pytest.raises(FctFormatError) as info:
+        fct.loads(f"0 1{char}2 3\n4 x\n")
+    assert info.value.line == 2
+
+
 @pytest.mark.parametrize("token", ["1_0", "+1", "\u0663", "-\u0663", "\uff11", "\u00b2"])
 def test_labels_are_ascii_decimal(token):
     # int() reads the first five as 10, 1, 3, -3 and 1 (a fullwidth one);
@@ -74,8 +85,9 @@ _NOT_LABELS = ["x", "1.5", "-", "--1", "0x1", "1e3", "1-2", "\u00e9", "9" * 5000
 def noisy_fct(draw):
     """FCT text of a small complex with noise: shuffled duplicates, absorbed
     sub-faces, comments (non-ASCII, ``_`` and ``+`` among them), blank
-    lines, runs of spaces and tabs, LF or CRLF ends, and on a few random
-    lines a token that is not a label or is negative."""
+    lines, runs of spaces, tabs, form feeds and U+2028, LF, CRLF or CR
+    ends, and on a few random lines a token that is not a label or is
+    negative."""
     x = draw(helpers.small_complexes())
     rng = draw(st.randoms(use_true_random=False))
     faces = list(x.facets)
@@ -85,7 +97,7 @@ def noisy_fct(draw):
         for f in x.facets if len(f) > 1 and rng.random() < 0.5
     ]
     lines = [
-        rng.choice([" ", "  ", "\t"]).join(map(str, f))
+        rng.choice([" ", "  ", "\t", "\x0c", "\u2028"]).join(map(str, f))
         + rng.choice(["", "  # dup \u00e9 1_0 +2", "#x"])
         for f in faces
     ]
@@ -95,7 +107,7 @@ def noisy_fct(draw):
         token = draw(st.sampled_from([*_NOT_LABELS, "-3", "-12", "-0"]))
         i = rng.randrange(len(lines))
         lines[i] = f"{token} {lines[i]}"
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return eol.join(lines) + eol
 
 
@@ -113,6 +125,7 @@ def _outcome(load, text):
 @example("# only a comment\r\n\r\n")
 @example("0 1\r\n2 -3\r\n4 x\n")
 @example("0 1 x\n-0 -0\n")
+@example("0 1\r2 x\r")
 def test_one_pass_reads_like_the_line_parser(text):
     assert _outcome(fct.loads, text) == _outcome(helpers.loads_by_lines, text)
 
