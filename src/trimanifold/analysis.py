@@ -139,8 +139,8 @@ def parameter_solutions(beta1: int, d_max: int) -> list:
     """All (beta1, d, f0) with 3 <= d <= d_max solving the tightness equation.
 
     For each d the equation pins m = f0 - d - 2 through m(m+1) =
-    beta1 (d+1)(d+2), solved exactly with an integer square root; at most
-    one f0 exists per d.
+    beta1 (d+1)(d+2), solved exactly by :func:`_pronic_root`; at most one
+    f0 exists per d.
     """
     if beta1 < 1:
         raise ValueError(f"beta1 must be positive, got {beta1}")
@@ -149,10 +149,16 @@ def parameter_solutions(beta1: int, d_max: int) -> list:
     out = []
     for d in range(3, d_max + 1):
         product = beta1 * (d + 1) * (d + 2)
-        m = (isqrt(4 * product + 1) - 1) // 2
+        m = _pronic_root(product)
         if m * (m + 1) == product:
             out.append(ParameterTriple(beta1, d, m + d + 2))
     return out
+
+
+def _pronic_root(t: int) -> int:
+    """The least k >= 0 with k(k+1) >= t, by an integer square root."""
+    k = (isqrt(max(4 * t + 1, 1)) - 1) // 2
+    return k + (k * (k + 1) < t)
 
 
 def corollary_bound_check(n: int, d: int) -> bool:
@@ -591,10 +597,8 @@ def bound_chain_audit(
         holds = t_bound_ok and graph_matches and degenerate_ok and equation_ok
     else:
         bound_n = 2 * (beta1 - 1) * (d + 2)
-        target = beta1 * (d + 1) * (d + 2)
-        m = d + 3
-        while (m - d - 1) * (m - d - 2) < target:
-            m += 1
+        # least m > d + 2 with (m-d-1)(m-d-2) >= beta1 (d+1)(d+2)
+        m = max(_pronic_root(beta1 * (d + 1) * (d + 2)), 1) + d + 2
         witness["n_bound_from_chain"] = bound_n
         witness["n_min_from_equation"] = m
         witness["contradiction"] = m > bound_n

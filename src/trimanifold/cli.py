@@ -215,11 +215,17 @@ def cmd_boundary(args) -> int:
     return 0
 
 
+def _vertex(token: str) -> int:
+    """A vertex label read with the FCT grammar."""
+    token = token.strip()
+    v = fct._label(token)
+    if v is None or v < 0:
+        raise ValueError(f"bad vertex label {token!r}")
+    return v
+
+
 def _parse_vertex_list(text: str) -> tuple:
-    try:
-        return tuple(sorted(int(t) for t in text.split(",") if t.strip()))
-    except ValueError:
-        raise ValueError(f"bad vertex list {text!r}") from None
+    return tuple(sorted(_vertex(t) for t in text.split(",") if t.strip()))
 
 
 def _parse_psi(text: str) -> dict:
@@ -231,7 +237,7 @@ def _parse_psi(text: str) -> dict:
         left, sep, right = piece.partition(":")
         if not sep:
             raise ValueError(f"bad pair {piece!r}, expected src:dst")
-        psi[int(left)] = int(right)
+        psi[_vertex(left)] = _vertex(right)
     return psi
 
 

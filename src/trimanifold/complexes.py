@@ -3,13 +3,14 @@
 A complex is kept as the canonically sorted tuple of its inclusion-maximal
 faces.  Derived structure is never materialised up front.  What callers
 read more than once is built on first use and memoised on the complex,
-which is immutable:
+which is immutable, by :func:`_memoised`, the only code that reads or
+writes the cache.  It wraps these builders:
 
-- the dimension and the vertex set;
-- the vertex index, vertex -> ascending ids of the facets containing it;
-- the ridge index, codimension-one face -> ids of the facets containing it;
-- the facet graph, which :mod:`.dualgraph` builds from the ridge index;
-- the Walkup class report of :func:`.walkup.class_membership`.
+- ``dim`` and ``vertices``, the dimension and the vertex set;
+- :func:`_vertex_facets`, vertex -> ascending ids of its facets;
+- :func:`_ridge_incidence`, codimension-one face -> ids of its facets;
+- :func:`.dualgraph.dual_graph`, the facet graph, from the ridge index;
+- :func:`.walkup.class_membership`, the Walkup class report.
 
 Face sets (:func:`faces_of_dim`) are built afresh on every call, so that
 counting faces does not keep every level alive.
@@ -25,6 +26,7 @@ identities checked elsewhere in the package cannot silently overflow.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from math import comb
@@ -54,6 +56,22 @@ __all__ = [
 ]
 
 Face = tuple  # sorted tuple of distinct non-negative ints; () is the empty face
+
+
+def _memoised(build):
+    """Memoise ``build(x)`` on the complex ``x`` under ``build.__name__``,
+    the only code that reads or writes ``_face_cache``.  Nothing is stored
+    when ``build`` raises, so a precondition error is raised on every call."""
+    key = build.__name__
+
+    @functools.wraps(build)
+    def memo(x):
+        cache = x._face_cache
+        if key not in cache:
+            cache[key] = build(x)
+        return cache[key]
+
+    return memo
 
 
 def _as_face(vertices: Iterable[int]) -> Face:
@@ -95,28 +113,20 @@ class SimplicialComplex:
     """
 
     facets: tuple[Face, ...]
-    # dimension, vertices, vertex and ridge index, facet graph, Walkup class
-    # report; face sets are not kept.  Value writes are idempotent so
-    # concurrent readers at worst recompute
+    # written by _memoised only.  Value writes are idempotent so concurrent
+    # readers at worst recompute
     _face_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
+    @_memoised
     def dim(self) -> int:
         """Top face dimension; -1 for the empty complex."""
-        d = self._face_cache.get("dim")
-        if d is None:
-            d = max(map(len, self.facets), default=0) - 1
-            self._face_cache["dim"] = d
-        return d
+        return max(map(len, self.facets), default=0) - 1
 
     @property
+    @_memoised
     def vertices(self) -> tuple[int, ...]:
-        if "vertices" not in self._face_cache:
-            vs: set[int] = set()
-            for f in self.facets:
-                vs.update(f)
-            self._face_cache["vertices"] = tuple(sorted(vs))
-        return self._face_cache["vertices"]
+        return tuple(sorted(set().union(*self.facets)))
 
     @property
     def num_vertices(self) -> int:
@@ -134,24 +144,14 @@ def from_facets(faces: Iterable[Iterable[int]]) -> SimplicialComplex:
 
     Faces may arrive in any order with duplicates; faces contained in a
     larger face are absorbed, as :func:`_from_canonical` describes.  At
-    least one non-empty face is required.
-
-    Labels are checked once for the whole input: every vertex of every
-    face is an ``int`` (a ``bool`` is not) and the smallest is not
-    negative.  When that fails, the faces are checked again one at a time
-    in input order, so the error names the first bad label.
+    least one non-empty face is required.  Every label must be an ``int``
+    (a ``bool`` is not) and not negative; the faces are checked in input
+    order, so the error names a bad label of the first bad face.  Code
+    that builds sorted faces of valid labels itself hands them to
+    :func:`_from_canonical` directly.
     """
-    faces = list(faces)
-    try:
-        canon = {tuple(sorted(set(f))) for f in faces}
-        canon.discard(())
-        types = set(map(type, itertools.chain.from_iterable(canon)))
-        labelled = types <= {int} and min(canon, default=(0,))[0] >= 0
-    except TypeError:
-        labelled = False
-    if not labelled:
-        canon = {_as_face(f) for f in faces}
-        canon.discard(())
+    canon = {_as_face(f) for f in faces}
+    canon.discard(())
     return _from_canonical(canon)
 
 
@@ -260,16 +260,14 @@ def is_pure(x: SimplicialComplex) -> bool:
     return all(len(f) == d for f in x.facets)
 
 
+@_memoised
 def _vertex_facets(x: SimplicialComplex) -> dict:
     """Memoised map from each vertex, in ascending order, to the ascending
     ids of its facets."""
-    index = x._face_cache.get("vertex_facets")
-    if index is None:
-        index = {v: [] for v in x.vertices}
-        for i, facet in enumerate(x.facets):
-            for v in facet:
-                index[v].append(i)
-        x._face_cache["vertex_facets"] = index
+    index = {v: [] for v in x.vertices}
+    for i, facet in enumerate(x.facets):
+        for v in facet:
+            index[v].append(i)
     return index
 
 
@@ -281,16 +279,14 @@ def _facets_containing(x: SimplicialComplex, a: Iterable[int]) -> list:
     return [i for i in shortest if a.issubset(x.facets[i])]
 
 
+@_memoised
 def _ridge_incidence(x: SimplicialComplex) -> dict:
     """Memoised map from each codimension-one face of a pure complex to its
     facet ids."""
-    ridges = x._face_cache.get("ridges")
-    if ridges is None:
-        ridges = {}
-        for i, facet in enumerate(x.facets):
-            for ridge in itertools.combinations(facet, len(facet) - 1):
-                ridges.setdefault(ridge, []).append(i)
-        x._face_cache["ridges"] = ridges
+    ridges: dict = {}
+    for i, facet in enumerate(x.facets):
+        for ridge in itertools.combinations(facet, len(facet) - 1):
+            ridges.setdefault(ridge, []).append(i)
     return ridges
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .complexes import (
     Face,
     SimplicialComplex,
+    _memoised,
     _ridge_incidence,
     _vertex_facets,
     is_pure,
@@ -76,6 +77,7 @@ class DualGraph:
             raise UnknownNodeError(f"node {i!r} outside 0..{self.num_nodes - 1}")
 
 
+@_memoised
 def dual_graph(x: SimplicialComplex) -> DualGraph:
     """Facet adjacency graph of a pure complex, memoised on the complex.
 
@@ -83,9 +85,6 @@ def dual_graph(x: SimplicialComplex) -> DualGraph:
     size share at most one ridge, their intersection, so no neighbour is
     listed twice and the per-node lists need no deduplication.
     """
-    g = x._face_cache.get("dual_graph")
-    if g is not None:
-        return g
     if not is_pure(x):
         raise PreconditionError("dual graph requires a pure complex")
     nbrs: list[list[int]] = [[] for _ in x.facets]
@@ -94,9 +93,7 @@ def dual_graph(x: SimplicialComplex) -> DualGraph:
             for b in range(a + 1, len(ids)):
                 nbrs[ids[a]].append(ids[b])
                 nbrs[ids[b]].append(ids[a])
-    g = DualGraph(x.facets, tuple(tuple(sorted(n)) for n in nbrs))
-    x._face_cache["dual_graph"] = g
-    return g
+    return DualGraph(x.facets, tuple(tuple(sorted(n)) for n in nbrs))
 
 
 def is_connected(g: DualGraph) -> bool:

@@ -25,10 +25,6 @@ class NotAFaceError(TriManifoldError):
     """The given vertex set is not a face of the complex."""
 
 
-class VertexClashError(TriManifoldError):
-    """Join operands share a vertex label."""
-
-
 class PreconditionError(TriManifoldError):
     """Structural precondition of an operation does not hold for the input."""
 

@@ -13,16 +13,16 @@ whitespace inside a line.  A label is decimal: ASCII digits
 :func:`loads` reads the text in one pass when the comment-stripped
 lines are ASCII and hold no ``_``, ``+`` or ``-``: the lines go through
 ``int`` into a set of sorted faces in one comprehension, with no
-per-token Python loop, and that set goes straight to the absorption step
-of :func:`~trimanifold.complexes.from_facets`, which neither checks
-labels nor sorts faces again.  On such text ``int`` accepts exactly the
-tokens made of ASCII digits, so every label it returns is valid.  When
-the pass does not run or ``int`` refuses a token, the lines are read
-again one token at a time.  That replay raises
+per-token Python loop.  On such text ``int`` accepts exactly the tokens
+made of ASCII digits, so every label it returns is valid.  When the pass
+does not run or ``int`` refuses a token, the lines are read again one
+token at a time.  That replay raises
 :class:`~trimanifold.errors.FctFormatError` for the first token that is
 not a label or is negative, naming its 1-based line; when every token is
-a label (``-0``, or text split by non-ASCII whitespace), its faces go
-through :func:`~trimanifold.complexes.from_facets`.
+a label (``-0``, or text split by non-ASCII whitespace), it too yields
+sorted faces.  Either set goes straight to the absorption step,
+:func:`~trimanifold.complexes._from_canonical`, which neither checks
+labels nor sorts faces again.
 
 Writers emit facets in lexicographic order with no trailing whitespace,
 so equal complexes serialise to identical bytes.
@@ -34,7 +34,7 @@ import io
 import os
 from typing import TextIO
 
-from .complexes import SimplicialComplex, _from_canonical, from_facets
+from .complexes import SimplicialComplex, _from_canonical
 from .errors import EmptyComplexError, FctFormatError
 
 __all__ = ["loads", "dumps", "read_fct", "write_fct"]
@@ -44,16 +44,17 @@ def loads(text: str) -> SimplicialComplex:
     """Parse facet-list text into a canonical complex."""
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     bodies = [raw.split("#", 1)[0] for raw in lines]
+    canon = None
+    if _unsigned_ascii(bodies):
+        try:
+            canon = {tuple(sorted(set(map(int, b.split())))) for b in bodies}
+        except ValueError:  # a token that is not a number
+            pass
+    if canon is None:
+        canon = _faces_by_line(bodies)
+    canon.discard(())
     try:
-        if _unsigned_ascii(bodies):
-            try:
-                canon = {tuple(sorted(set(map(int, b.split())))) for b in bodies}
-            except ValueError:  # a token that is not a number
-                pass
-            else:
-                canon.discard(())
-                return _from_canonical(canon)
-        return from_facets(_faces_by_line(bodies))
+        return _from_canonical(canon)
     except EmptyComplexError:
         raise FctFormatError(0, "no facets in input") from None
 
@@ -67,22 +68,21 @@ def _unsigned_ascii(bodies: list) -> bool:
     return text.isascii() and not ("_" in text or "+" in text or "-" in text)
 
 
-def _faces_by_line(bodies: list) -> list:
-    """The faces on the comment-stripped lines ``bodies``, read one line
-    and one token at a time: the first token that is not a label, or is
-    negative, raises :class:`FctFormatError` naming its line."""
-    faces = []
+def _faces_by_line(bodies: list) -> set:
+    """The faces on the comment-stripped lines ``bodies`` as sorted tuples,
+    read one line and one token at a time: the first token that is not a
+    label, or is negative, raises :class:`FctFormatError` naming its line."""
+    faces = set()
     for lineno, body in enumerate(bodies, start=1):
-        labels = []
+        labels = set()
         for token in body.split():
             v = _label(token)
             if v is None:
                 raise FctFormatError(lineno, f"bad vertex label {token!r}")
             if v < 0:
                 raise FctFormatError(lineno, f"negative vertex label {v}")
-            labels.append(v)
-        if labels:
-            faces.append(labels)
+            labels.add(v)
+        faces.add(tuple(sorted(labels)))
     return faces
 
 

@@ -32,7 +32,10 @@ from math import isqrt
 from .complexes import (
     Face,
     SimplicialComplex,
+    _as_face,
     _faces_of_size,
+    _from_canonical,
+    _memoised,
     _vertex_facets,
     boundary_complex,
     from_facets,
@@ -83,7 +86,8 @@ class HandleMap:
     """Gluing data: two disjoint facets and a vertex bijection between them.
 
     ``pairs`` lists ``(x, psi(x))`` sorted by ``x``.  Shape rules (strict
-    tuples, disjointness, bijectivity) are enforced here; rules that
+    tuples, disjointness, bijectivity) are enforced here, and a label
+    that is not a non-negative ``int`` raises ``ValueError``; rules that
     depend on the ambient complex are enforced by
     :func:`handle_addition`.
     """
@@ -94,7 +98,7 @@ class HandleMap:
 
     def __post_init__(self) -> None:
         for name, sigma in (("sigma1", self.sigma1), ("sigma2", self.sigma2)):
-            if list(sigma) != sorted(set(sigma)):
+            if tuple(sigma) != _as_face(sigma):
                 raise InadmissibleHandleError(f"{name} is not a strict vertex tuple")
         if set(self.sigma1) & set(self.sigma2):
             raise InadmissibleHandleError("sigma1 and sigma2 share vertices")
@@ -176,6 +180,7 @@ def is_stacked_sphere(s: SimplicialComplex) -> bool:
     return len(facets) == dd + 2
 
 
+@_memoised
 def class_membership(m: SimplicialComplex) -> ClassReport:
     """Classify a pure complex by the shape of its vertex links.
 
@@ -188,9 +193,6 @@ def class_membership(m: SimplicialComplex) -> ClassReport:
     all ask for it classify the links once; a precondition error is
     raised again on every call.
     """
-    report = m._face_cache.get("class_membership")
-    if report is not None:
-        return report
     if not m.facets or not is_pure(m):
         raise PreconditionError("class membership requires a non-empty pure complex")
     k_fail: int | None = None
@@ -206,14 +208,12 @@ def class_membership(m: SimplicialComplex) -> ClassReport:
             k_fail = v
         if not ball_ok and kbar_fail is None:
             kbar_fail = v
-    report = ClassReport(
+    return ClassReport(
         k_fail is None,
         kbar_fail is None,
         kbar_fail if k_fail is None else k_fail,
         m.dim,
     )
-    m._face_cache["class_membership"] = report
-    return report
 
 
 def bar_construction(m: SimplicialComplex) -> SimplicialComplex:
@@ -420,15 +420,15 @@ def handle_addition(x: SimplicialComplex, h: HandleMap) -> SimplicialComplex:
                 f"vertices {src} and {dst} share neighbour {z}",
                 witness=(src, dst, z),
             )
-    new_facets = []
+    new_facets = set()
     for f in facetset - {h.sigma1, h.sigma2}:
         g = tuple(sorted(psi.get(v, v) for v in f))
-        if len(g) != len(f):
+        if len(set(g)) != len(g):
             raise AssertionError("identification collapsed a facet")
-        new_facets.append(g)
-    if len(set(new_facets)) != len(new_facets):
+        new_facets.add(g)
+    if len(new_facets) != len(facetset) - 2:
         raise AssertionError("identification merged two facets")
-    return from_facets(new_facets)
+    return _from_canonical(new_facets)
 
 
 def kuehnel_solid(d: int) -> SimplicialComplex:
@@ -440,8 +440,8 @@ def kuehnel_solid(d: int) -> SimplicialComplex:
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
     n = 2 * d + 3
-    return from_facets(
-        tuple(sorted((i + k) % n for k in range(d + 2))) for i in range(n)
+    return _from_canonical(
+        {tuple(sorted((i + k) % n for k in range(d + 2))) for i in range(n)}
     )
 
 
@@ -479,4 +479,4 @@ def random_stacked_ball(d: int, m: int, seed: int = 0) -> SimplicialComplex:
         for drop in tau:
             bisect.insort(ridges, tuple(u for u in tau if u != drop) + (fresh,))
         fresh += 1
-    return from_facets(facets)
+    return _from_canonical(set(facets))

@@ -8,9 +8,12 @@ stored prefix by prefix for the path lemma, reverse peeling for stacked
 balls, a backtracking peel search for stacked spheres, an all-pairs
 scan for maximal faces, a pivotless search over global pair and triple
 masks for the bar construction, colour refinement on nested tuples a
-round at a time until no round splits a class, and a try-every-bijection
-isomorphism check.  The point is independence from the fast paths in the
-package, so agreement is evidence rather than circularity.
+round at a time until no round splits a class, a try-every-bijection
+isomorphism check, and a count up to the least vertex count that the
+tightness equation allows.  The point is independence from the fast
+paths in the package, so agreement is evidence rather than circularity.
+
+The test-only join raises :class:`VertexClashError`, defined here.
 
 One oracle keeps an earlier form of an entry point instead: the FCT
 reader that converts one token at a time.
@@ -32,9 +35,13 @@ from trimanifold.complexes import (
     relabel_vertices,
 )
 from trimanifold.dualgraph import DualGraph, components_minus, is_connected
-from trimanifold.errors import EmptyComplexError, FctFormatError, VertexClashError
+from trimanifold.errors import EmptyComplexError, FctFormatError, TriManifoldError
 from trimanifold.homology import chain_complex
 from trimanifold.walkup import kuehnel_solid, kuehnel_torus, random_stacked_ball
+
+
+class VertexClashError(TriManifoldError):
+    """Join operands share a vertex label."""
 
 
 def simplex(d: int) -> SimplicialComplex:
@@ -242,6 +249,15 @@ def betti_by_matrices(x: SimplicialComplex) -> tuple:
     return tuple(
         len(cc.faces[k]) - ranks[k] - ranks[k + 1] for k in range(cc.dim + 1)
     )
+
+
+def least_f0_by_search(d: int, beta1: int) -> int:
+    """The least m > d + 2 with (m-d-1)(m-d-2) >= beta1 (d+1)(d+2), found
+    by counting up from d + 3."""
+    m = d + 3
+    while (m - d - 1) * (m - d - 2) < beta1 * (d + 1) * (d + 2):
+        m += 1
+    return m
 
 
 def graph_from_edges(facets, edges) -> DualGraph:

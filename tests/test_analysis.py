@@ -550,6 +550,30 @@ def test_bound_chain_audit_contradiction_branch():
     assert report.witness["contradiction"]
 
 
+def test_bound_chain_audit_least_f0_matches_search():
+    g = helpers.graph_from_edges(((0,), (1,)), [(0, 1)])
+    for d in range(200):
+        for beta1 in range(-2, 60):
+            if beta1 != 1:
+                report = bound_chain_audit(g, 9, d, beta1)
+                assert report.witness["n_min_from_equation"] == (
+                    helpers.least_f0_by_search(d, beta1)
+                ), (d, beta1)
+
+
+def test_bound_chain_audit_has_no_size_cliff():
+    # counting up takes about 1.3 s at d = 10^7 and 100 times that at 10^9,
+    # so a count fails the smaller case first
+    g = helpers.graph_from_edges(((0,), (1,)), [(0, 1)])
+    for d in (10**7, 10**9):
+        start = perf_counter()
+        report = bound_chain_audit(g, 9, d, 2)
+        assert perf_counter() - start < 0.1, d
+        m = report.witness["n_min_from_equation"]
+        target = 2 * (d + 1) * (d + 2)
+        assert (m - d - 1) * (m - d - 2) >= target > (m - d - 2) * (m - d - 3)
+
+
 def test_bound_chain_audit_detects_mismatched_beta():
     g = helpers.graph_from_edges(((0,), (1,)), [(0, 1)])
     report = bound_chain_audit(g, 9, 3, 1)

@@ -292,6 +292,27 @@ def test_handle_rejects_malformed_psi(capsys, tmp_path):
     assert "input error" in err
 
 
+@pytest.mark.parametrize(
+    "option, value, token",
+    [
+        ("--psi", "0:1_1,1:12,2:13,3:14,4:15", "'1_1'"),  # digit separator
+        ("--sigma1", "+0,1,2,3,4", "'+0'"),  # sign
+        ("--psi", "0:11,1:12,2:13,3:14,4:\u0661\u0665", "'\u0661\u0665'"),  # Arabic-Indic
+        ("--sigma2", "11,12,13,14,-15", "-15"),  # negative
+    ],
+)
+def test_handle_reads_labels_with_the_fct_grammar(capsys, tmp_path, option, value, token):
+    # int() reads the first three as 11, 0 and 15
+    sphere = tmp_path / "sphere.fct"
+    fct.write_fct(boundary_complex(helpers.path_ball(5, 11)), sphere)
+    args = {"--sigma1": "0,1,2,3,4", "--sigma2": "11,12,13,14,15",
+            "--psi": "0:11,1:12,2:13,3:14,4:15", option: value}
+    code, out, err = run(capsys, "handle", str(sphere), *(a for kv in args.items() for a in kv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ") and token in err
+
+
 def test_handle_refuses_a_zero_dimensional_input(capsys, tmp_path):
     points = tmp_path / "points.fct"
     fct.write_fct(from_facets([(0,), (1,), (2,)]), points)
@@ -348,6 +369,24 @@ def test_verify_runs_class_membership_once(capsys, tmp_path, monkeypatch):
     assert len(calls) == solid.num_vertices
     assert code == 0
     assert [c["holds"] for c in json.loads(out)["checks"]] == [True] * 4
+
+
+_BUILDERS = {"dim", "vertices", "_vertex_facets", "_ridge_incidence", "dual_graph",
+             "class_membership"}
+
+
+@pytest.mark.parametrize("make", [kuehnel_torus, kuehnel_solid])
+def test_only_the_memo_builders_write_the_cache(capsys, tmp_path, monkeypatch, make):
+    path = tmp_path / "x.fct"
+    fct.write_fct(make(4), path)
+    read = []
+    real = fct.read_fct
+    monkeypatch.setattr(fct, "read_fct", lambda p: read.append(real(p)) or read[-1])
+    run(capsys, "check", str(path), "--checks", "pure,pm,class-k,tight-neighborly")
+    run(capsys, "verify", str(path))
+    assert len(read) == 2
+    for x in read:
+        assert x._face_cache and set(x._face_cache) <= _BUILDERS
 
 
 def test_parser_is_built_once():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import helpers
+from helpers import VertexClashError
 from trimanifold.complexes import (
     EMPTY,
     SimplicialComplex,
@@ -23,7 +24,6 @@ from trimanifold.errors import (
     EmptyComplexError,
     NotAFaceError,
     PreconditionError,
-    VertexClashError,
 )
 from trimanifold.walkup import kuehnel_solid, kuehnel_torus
 

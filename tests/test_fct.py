@@ -130,6 +130,19 @@ def test_one_pass_reads_like_the_line_parser(text):
     assert _outcome(fct.loads, text) == _outcome(helpers.loads_by_lines, text)
 
 
+@given(helpers.small_complexes(), st.randoms(use_true_random=False))
+def test_replay_reads_like_the_line_parser(x, rng):
+    # U+3000 and -0 are labels the one pass does not read, so the
+    # replay's faces go to the absorption step
+    lines = [
+        rng.choice([" ", "\u3000"]).join("-0" if v == 0 and rng.random() < 0.5 else str(v)
+                                         for v in f)
+        for f in x.facets
+    ]
+    text = "\n".join(lines) + "\n1\u3000-0\n"
+    assert fct.loads(text) == helpers.loads_by_lines(text)
+
+
 def test_loads_rejects_empty_input():
     with pytest.raises(FctFormatError) as info:
         fct.loads("# nothing here\n")

@@ -4,7 +4,7 @@ from time import perf_counter
 from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, strategies as st
 
 import helpers
 from trimanifold import fct, walkup
@@ -289,6 +289,44 @@ def test_handle_map_validation():
     hmap = HandleMap.create((0, 1, 2), (5, 4, 3), {0: 5, 1: 4, 2: 3})
     assert hmap.pairs == ((0, 5), (1, 4), (2, 3))
     assert hmap.mapping == {0: 5, 1: 4, 2: 3}
+
+
+def test_handle_map_refuses_labels_that_are_not_ints():
+    # (True, 2) and (1.0, 2.0) compare equal to the facet (1, 2)
+    for sigma2 in ((True, 2), (1.0, 2.0), (-2, 1)):
+        with pytest.raises(ValueError):
+            HandleMap.create((4, 5), sigma2, dict(zip((4, 5), sigma2)))
+
+
+def _is_canonical(x) -> bool:
+    """Whether ``x`` holds int labels and the very facet tuples that
+    ``from_facets`` makes of them."""
+    ints = all(type(v) is int for f in x.facets for v in f)
+    return ints and from_facets(x.facets).facets == x.facets
+
+
+@given(st.integers(1, 5), st.integers(1, 60), st.integers(0, 2**64 - 1))
+def test_random_stacked_ball_is_canonical(d, m, seed):
+    assert _is_canonical(random_stacked_ball(d, m, seed))
+
+
+@given(st.integers(1, 4), st.integers(0, 8), st.data())
+def test_handle_addition_is_canonical(d, extra, data):
+    # on the boundary of a path-shaped (d+1)-ball, vertices further apart
+    # than 2(d+1) share no neighbour, so any matching of the end ridges
+    # is admissible
+    m = 3 * d + 3 + extra
+    sphere = boundary_complex(helpers.path_ball(d + 1, m))
+    sigma1, sigma2 = tuple(range(d + 1)), tuple(range(m, m + d + 1))
+    images = data.draw(st.permutations(sigma2))
+    out = handle_addition(sphere, HandleMap.create(sigma1, sigma2, dict(zip(sigma1, images))))
+    assert _is_canonical(out)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_kuehnel_complexes_are_canonical(d):
+    assert _is_canonical(kuehnel_solid(d))
+    assert _is_canonical(kuehnel_torus(d))
 
 
 def _sphere16():
