@@ -75,12 +75,17 @@ def _memoised(build):
 
 
 def _as_face(vertices: Iterable[int]) -> Face:
-    """Canonicalise one vertex collection into a sorted duplicate-free tuple."""
-    face = tuple(sorted(set(vertices)))
-    for v in face:
+    """Canonicalise one vertex collection into a sorted duplicate-free tuple.
+
+    Each label is checked in input order before any two are compared, so
+    the error names the first bad label, even one that does not compare
+    with an int."""
+    labels = set()
+    for v in vertices:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise ValueError(f"vertex labels must be non-negative ints, got {v!r}")
-    return face
+        labels.add(v)
+    return tuple(sorted(labels))
 
 
 @dataclass(frozen=True)
@@ -145,10 +150,10 @@ def from_facets(faces: Iterable[Iterable[int]]) -> SimplicialComplex:
     Faces may arrive in any order with duplicates; faces contained in a
     larger face are absorbed, as :func:`_from_canonical` describes.  At
     least one non-empty face is required.  Every label must be an ``int``
-    (a ``bool`` is not) and not negative; the faces are checked in input
-    order, so the error names a bad label of the first bad face.  Code
-    that builds sorted faces of valid labels itself hands them to
-    :func:`_from_canonical` directly.
+    (a ``bool`` is not) and not negative; faces and their labels are
+    checked in input order, so the error names the first bad label of the
+    first bad face.  Code that builds sorted faces of valid labels itself
+    hands them to :func:`_from_canonical` directly.
     """
     canon = {_as_face(f) for f in faces}
     canon.discard(())

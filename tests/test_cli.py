@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -387,6 +388,42 @@ def test_only_the_memo_builders_write_the_cache(capsys, tmp_path, monkeypatch, m
     assert len(read) == 2
     for x in read:
         assert x._face_cache and set(x._face_cache) <= _BUILDERS
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["gen", "kuehnel-solid", "--d", "2"], 0),
+        (["betti", "no-such-file.fct"], 2),
+        (["gen", "kuehnel-solid", "--d", "3"], 3),
+    ],
+)
+def test_main_pauses_the_collector_and_restores_it(capsys, tmp_path, monkeypatch,
+                                                   argv, want, collecting):
+    from trimanifold import walkup
+
+    monkeypatch.chdir(tmp_path)
+    seen = []
+    real = walkup.kuehnel_solid
+
+    def solid(d):
+        seen.append(gc.isenabled())
+        if want == 3:
+            raise RuntimeError("forced failure")
+        return real(d)
+
+    monkeypatch.setattr(walkup, "kuehnel_solid", solid)
+    was = gc.isenabled()
+    gc.enable() if collecting else gc.disable()
+    try:
+        code, _, err = run(capsys, *argv)
+        after = gc.isenabled()
+    finally:
+        gc.enable() if was else gc.disable()
+    assert code == want, err
+    assert after is collecting
+    assert seen == ([] if want == 2 else [False])
 
 
 def test_parser_is_built_once():

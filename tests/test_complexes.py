@@ -55,6 +55,24 @@ def test_from_facets_checks_every_face_for_bad_labels():
     # the error names the first bad label in input order
     with pytest.raises(ValueError, match="'a'"):
         from_facets([(0, 1), ("a", "b"), ("c", 2)])
+    with pytest.raises(ValueError, match="'b'"):
+        from_facets([(0, 1), (2, "b", -1, "a")])
+
+
+@pytest.mark.parametrize(
+    "faces, named",
+    [
+        ([(0, None)], "None"),
+        ([("c", 2)], "'c'"),
+        ([(3, 1), (2, None, "c")], "None"),
+        ([(0, 1), (1, [2])], r"\[2\]"),
+    ],
+)
+def test_from_facets_names_a_label_that_does_not_compare_with_an_int(faces, named):
+    # the labels are checked before they are sorted, so a label that an
+    # int cannot be compared with is named, not a TypeError from sorting
+    with pytest.raises(ValueError, match=named):
+        from_facets(faces)
 
 
 def test_empty_input_is_rejected():
@@ -298,6 +316,8 @@ def test_relabel_vertices():
     assert y.facets == ((3, 5, 8),)
     with pytest.raises(ValueError):
         relabel_vertices(x, {0: 1, 1: 1, 2: 2})
+    with pytest.raises(ValueError, match="'a'"):
+        relabel_vertices(x, {0: "a", 1: 2, 2: 3})
 
 
 def test_neighborliness():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import helpers
-from trimanifold.complexes import boundary_complex, f_vector, from_facets
+from trimanifold.complexes import boundary_complex, f_vector, from_facets, relabel_vertices
 from trimanifold.errors import PreconditionError
 from trimanifold.homology import (
     Z2Matrix,
@@ -169,6 +169,23 @@ def test_betti_sweep_matches_full_matrices(x):
     assert _betti01(x) == (want[0], b1)
 
 
+_LABELLED = [kuehnel_torus(d) for d in range(2, 7)] + [kuehnel_solid(d) for d in range(2, 6)]
+
+
+@given(st.one_of(complexes_in_parts(), st.sampled_from(_LABELLED)), st.data())
+def test_betti_sweep_matches_full_matrices_after_relabelling(x, data):
+    # the sweep reduces the columns of each level in set order, and new
+    # labels change that order, so the pivot collisions come in a new order
+    n = len(x.vertices)
+    labels = data.draw(st.lists(st.integers(0, 4 * n + 40), min_size=n, max_size=n, unique=True))
+    y = relabel_vertices(x, dict(zip(x.vertices, labels)))
+    want = helpers.betti_by_matrices(y)
+    b1 = want[1] if len(want) > 1 else 0
+    assert want == helpers.betti_by_matrices(x)
+    assert betti_z2(y).betti == want
+    assert _betti01(y) == (want[0], b1)
+
+
 def test_betti_of_kuehnel_family_and_stacked_spheres_against_full_matrices():
     cases = []
     for d in range(2, 11):
@@ -202,3 +219,18 @@ def test_betti_of_a_long_strip_within_budget():
     dt = perf_counter() - t0
     assert bv.betti == (1, 0, 0)
     assert dt < 1.0, f"betti_z2 of the 8000-triangle strip took {dt:.2f} s"
+
+
+@pytest.mark.parametrize(
+    "d, m, want",
+    [(6, 2000, (1, 0, 0, 0, 0, 1)), (4, 6000, (1, 0, 0, 1))],
+)
+def test_betti_of_stacked_sphere_boundaries_within_budget(d, m, want):
+    # many columns of the top map of a stacked sphere share a pivot, and
+    # every collision builds and adds columns
+    x = boundary_complex(random_stacked_ball(d, m, seed=1))
+    t0 = perf_counter()
+    bv = betti_z2(x)
+    dt = perf_counter() - t0
+    assert bv.betti == want
+    assert dt < 1.0, f"betti_z2 of the boundary of random_stacked_ball({d}, {m}) took {dt:.2f} s"
