@@ -41,7 +41,7 @@ from .errors import (
     ReconstructionFailure,
     UnknownLemmaError,
 )
-from .homology import _betti01
+from .homology import _betti01, _class_k_beta1
 from .walkup import class_membership, kuehnel_solid
 
 __all__ = [
@@ -121,11 +121,13 @@ def tight_neighborly_check(m: SimplicialComplex) -> TightnessReport:
 
     The left side is C(f0-d-1, 2), the right side C(d+2, 2) * beta1 with
     beta1 taken mod 2.  Equality is what the literature calls tight
-    neighborly.
+    neighborly.  beta1 comes from g2 only when a class report is already
+    memoised: the class test costs more than the two small ranks.
     """
     if not m.facets:
         raise PreconditionError("empty input")
-    beta0, beta1 = _betti01(m)
+    k = _class_k_beta1(m, False)
+    beta0, beta1 = _betti01(m) if k is None else (1, k)
     if beta0 != 1:
         raise PreconditionError("input must be connected")
     d = m.dim

@@ -10,10 +10,13 @@ writes the cache.  It wraps these builders:
 - :func:`_vertex_facets`, vertex -> ascending ids of its facets;
 - :func:`_ridge_incidence`, codimension-one face -> ids of its facets;
 - :func:`.dualgraph.dual_graph`, the facet graph, from the ridge index;
-- :func:`.walkup.class_membership`, the Walkup class report.
+- :func:`.walkup.class_membership`, the Walkup class report, whose
+  ``peek(x)`` returns the stored report, or None, without building it.
 
 Face sets (:func:`faces_of_dim`) are built afresh on every call, so that
-counting faces does not keep every level alive.
+counting faces does not keep every level alive.  :func:`f_vector` takes
+the counts of a complex whose links are all stacked spheres or all
+stacked balls from f_0 and f_1 instead (:func:`.walkup._stacked_link_counts`).
 
 This module is the only one that finds the facets at a vertex or across a
 ridge; every other module reads the two indices.  Vertex labels are
@@ -61,7 +64,8 @@ Face = tuple  # sorted tuple of distinct non-negative ints; () is the empty face
 def _memoised(build):
     """Memoise ``build(x)`` on the complex ``x`` under ``build.__name__``,
     the only code that reads or writes ``_face_cache``.  Nothing is stored
-    when ``build`` raises, so a precondition error is raised on every call."""
+    when ``build`` raises, so a precondition error is raised on every call.
+    ``memo.peek(x)`` returns the stored value, or None, without building."""
     key = build.__name__
 
     @functools.wraps(build)
@@ -71,6 +75,7 @@ def _memoised(build):
             cache[key] = build(x)
         return cache[key]
 
+    memo.peek = lambda x: x._face_cache.get(key)
     return memo
 
 
@@ -225,12 +230,18 @@ def _faces_of_size(x: SimplicialComplex, size: int) -> set:
 def f_vector(x: SimplicialComplex) -> FVector:
     """Face counts (f_0, ..., f_d) and their alternating sum.
 
-    f_0 is the vertex count and f_d the number of facets of size d + 1, as
-    every face of top dimension is a facet; only the levels in between are
-    enumerated.
+    Counts come from :func:`.walkup._stacked_link_counts` when it answers.
+    Otherwise f_0 is the vertex count and f_d the number of facets of size
+    d + 1, as every face of top dimension is a facet; only the levels in
+    between are enumerated.
     """
+    from .walkup import _stacked_link_counts
+
     if not x.facets:
         return FVector.from_counts(())
+    route = _stacked_link_counts(x)
+    if route is not None:
+        return FVector.from_counts(route[1])
     d = x.dim
     middle = (len(_faces_of_size(x, k + 1)) for k in range(1, d))
     top = sum(len(f) == d + 1 for f in x.facets)

@@ -51,17 +51,28 @@ becomes one when it is first added.
 Each level (the k-faces) is the set of codimension-one faces of the level
 above plus the facets of that size, so only the top level is read from
 the complex, and only two levels are alive at a time.
+
+Theorem (Walkup 1970 for d = 3; Kalai, "Rigidity and the lower bound
+theorem I", 1987, for d >= 4): a connected complex of dimension d >= 3
+whose vertex links are all stacked spheres (class K) is a stacked sphere
+with k handles added.  So its mod-2 Betti vector is (1, k, 0, ..., 0, k,
+1), and g2 = f_1 - (d+1) f_0 + C(d+2, 2) = C(d+2, 2) k, as each handle
+merges d + 1 vertex pairs and C(d+1, 2) edge pairs.  :func:`betti_z2`
+reads the vector from g2 where :func:`_class_k_beta1` establishes exactly
+these hypotheses, and sweeps otherwise.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 from operator import itemgetter
 
 from .complexes import SimplicialComplex, boundary_complex, faces_of_dim, is_weak_pseudomanifold
 from .dualgraph import DualGraph, dual_graph, is_connected
 from .errors import PreconditionError
+from .walkup import _stacked_link_counts
 
 __all__ = [
     "Z2Matrix",
@@ -222,8 +233,28 @@ def _sweep(x: SimplicialComplex, top: int) -> tuple[list[int], list[int]]:
     return counts, ranks
 
 
+def _class_k_beta1(x: SimplicialComplex, test: bool) -> int | None:
+    """k = g2 / C(d+2, 2) by the theorem of the module docstring, or None
+    when its hypotheses are not established: d >= 3 and class K from
+    :func:`.walkup._stacked_link_counts` (which gets ``test``), and a
+    connected facet graph.  A remainder raises AssertionError."""
+    route = _stacked_link_counts(x, test)
+    if route is None or not route[0] or not is_connected(dual_graph(x)):
+        return None
+    f = route[1]
+    step = comb(len(f) + 1, 2)  # C(d+2, 2)
+    k, rest = divmod(f[1] - len(f) * f[0] + step, step)
+    if rest:
+        raise AssertionError("g2 is not a multiple of C(d+2, 2)")
+    return k
+
+
 def betti_z2(x: SimplicialComplex) -> BettiVector:
-    """Full mod-2 Betti vector b_0..b_d."""
+    """Full mod-2 Betti vector b_0..b_d, from g2 for connected class-K
+    input (see the module docstring) and from the sweep otherwise."""
+    k = _class_k_beta1(x, True)
+    if k is not None:
+        return BettiVector((1, k) + (0,) * (x.dim - 3) + (k, 1))
     counts, ranks = _sweep(x, x.dim)
     return BettiVector(
         tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(len(counts)))

@@ -27,7 +27,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from itertools import repeat
-from math import isqrt
+from math import comb, isqrt
 
 from .complexes import (
     Face,
@@ -214,6 +214,61 @@ def class_membership(m: SimplicialComplex) -> ClassReport:
         kbar_fail if k_fail is None else k_fail,
         m.dim,
     )
+
+
+# bound once, so that code which rebinds class_membership with a plain
+# wrapper (a tracer, a mock) does not hide the memoised report
+_memoised_report = class_membership.peek
+
+# from this dimension up the class test costs less than counting faces
+_ROUTE_MIN_DIM = 9
+
+
+def _stacked_link_counts(m: SimplicialComplex, test: bool = True):
+    """``(in_class_k, (f_0, ..., f_d))`` from f_0 and f_1 when ``m`` has
+    dimension d >= 3 and its class report says K or K-bar; else None.
+
+    A memoised report is read with ``class_membership.peek``; without
+    one, the class test runs only if ``test`` is true, d >= _ROUTE_MIN_DIM
+    and ``m`` is pure.  Each j-face lies in the link of each of its j + 1
+    vertices, so (j+1) f_j = sum over v of f_{j-1}(lk v), where lk v has
+    dimension D = d - 1 and deg v vertices, and its counts are affine in
+    its vertex count n.  A stacked D-sphere (boundary of a simplex, then
+    one cone over a facet boundary per vertex) has f_i = C(D+1, i) n -
+    C(D+2, i+1) i for i < D and f_D = D n - (D+2)(D-1); a stacked D-ball
+    (a facet tree with n = f_D + D, so each facet after the first cones a
+    fresh vertex over a ridge) has f_i = C(D+1, i+1) + (n-D-1) C(D, i).
+    With sum over v of deg v = 2 f_1 the division is exact, or
+    AssertionError is raised.
+    """
+    d = m.dim
+    if d < 3:
+        return None
+    report = _memoised_report(m)
+    if report is None:
+        if not test or d < _ROUTE_MIN_DIM or not is_pure(m):
+            return None
+        report = class_membership(m)
+    sphere = report.in_class_k
+    if not (sphere or report.in_class_kbar):
+        return None
+    nbr = _neighbours(m)
+    f0 = len(nbr)
+    degrees = sum(map(len, nbr.values()))  # 2 f_1
+    dd = d - 1
+    counts = [f0]
+    for i in range(d):  # f_{i+1} of m from f_i of the links
+        if not sphere:
+            a, b = comb(dd, i), comb(dd + 1, i + 1) - (dd + 1) * comb(dd, i)
+        elif i < dd:
+            a, b = comb(dd + 1, i), -comb(dd + 2, i + 1) * i
+        else:
+            a, b = dd, -(dd + 2) * (dd - 1)
+        f, rest = divmod(a * degrees + b * f0, i + 2)
+        if rest:
+            raise AssertionError(f"f_{i + 1} from the vertex links is not an integer")
+        counts.append(f)
+    return sphere, tuple(counts)
 
 
 def bar_construction(m: SimplicialComplex) -> SimplicialComplex:

@@ -35,9 +35,20 @@ from trimanifold.complexes import (
     relabel_vertices,
 )
 from trimanifold.dualgraph import DualGraph, components_minus, is_connected
-from trimanifold.errors import EmptyComplexError, FctFormatError, TriManifoldError
+from trimanifold.errors import (
+    EmptyComplexError,
+    FctFormatError,
+    InadmissibleHandleError,
+    TriManifoldError,
+)
 from trimanifold.homology import chain_complex
-from trimanifold.walkup import kuehnel_solid, kuehnel_torus, random_stacked_ball
+from trimanifold.walkup import (
+    HandleMap,
+    handle_addition,
+    kuehnel_solid,
+    kuehnel_torus,
+    random_stacked_ball,
+)
 
 
 class VertexClashError(TriManifoldError):
@@ -388,6 +399,36 @@ def stacked_sphere_by_search(s: SimplicialComplex) -> bool:
 def path_ball(d: int, m: int) -> SimplicialComplex:
     """Stacked d-ball whose facet graph is a path: facets {i, ..., i+d}."""
     return from_facets(tuple(range(i, i + d + 1)) for i in range(m))
+
+
+def handle_body(d: int, k: int, m: int) -> SimplicialComplex:
+    """A closed d-manifold with stacked links and k handles: the boundary of
+    ``path_ball(d + 1, m)`` with k handles added by ``handle_addition``.
+
+    The 2k matched facets sit at evenly spaced positions of the path, so
+    with m large enough each sigma1 and its sigma2 lie in far-apart label
+    ranges.  The first bijection, in permutation order, that
+    ``handle_addition`` accepts is used; that search is (d + 1)!, so keep
+    d <= 5.
+    """
+    x = boundary_complex(path_ball(d + 1, m))
+    # the boundary facet of path facet {p, ..., p + d + 1} that misses p + 1
+    sigmas = [
+        (p,) + tuple(range(p + 2, p + d + 2))
+        for p in (1 + t * (m - 3) // (2 * k - 1) for t in range(2 * k))
+    ]
+    for sigma1, sigma2 in zip(sigmas[0::2], sigmas[1::2]):
+        for image in permutations(sigma2):
+            try:
+                x = handle_addition(
+                    x, HandleMap.create(sigma1, sigma2, dict(zip(sigma1, image)))
+                )
+                break
+            except InadmissibleHandleError:
+                continue
+        else:
+            raise ValueError(f"no admissible handle from {sigma1} to {sigma2}")
+    return x
 
 
 def star_ball(d: int, m: int) -> SimplicialComplex:

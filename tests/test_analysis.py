@@ -1,13 +1,14 @@
 import random
 from collections import Counter
 from time import perf_counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 import helpers
 from helpers import small_complexes
-from trimanifold import analysis
+from trimanifold import analysis, walkup
 from trimanifold.analysis import (
     LEMMA_IDS,
     _check_path_lemma,
@@ -75,6 +76,19 @@ def test_tight_neighborly_rejects_disconnected():
     for x in (two_spheres, two_points):
         with pytest.raises(PreconditionError, match="input must be connected"):
             tight_neighborly_check(x)
+
+
+def test_tight_neighborly_reads_beta1_from_g2_only_after_the_class_test():
+    x = kuehnel_torus(9)
+    with mock.patch.object(walkup, "class_membership", wraps=walkup.class_membership) as cm:
+        first = tight_neighborly_check(x)
+    assert cm.call_count == 0
+    assert walkup.class_membership.peek(x) is None
+    walkup.class_membership(x)
+    with mock.patch.object(analysis, "_betti01") as betti01:
+        assert tight_neighborly_check(x) == first
+    assert not betti01.called
+    assert first.beta1 == 1 and first.is_equality
 
 
 def test_parameter_solutions_frozen_lists():
@@ -514,6 +528,21 @@ def test_reconstruction_rejects_wrong_cycle_length():
     with pytest.raises(ReconstructionFailure) as info:
         uniqueness_reconstruction(annulus)
     assert info.value.step == "size-check"
+
+
+@pytest.mark.parametrize("facets, message", [
+    # facet cycles on 2D + 1 vertices found by a seeded random search
+    ([(3, 4, 5, 6), (0, 3, 5, 6), (0, 1, 3, 6), (0, 1, 2, 3), (0, 1, 2, 5),
+      (1, 2, 4, 5), (2, 4, 5, 6)], "vertex 4 lies in 3 facets, expected 4"),
+    ([(1, 2, 3, 4, 5), (0, 2, 3, 4, 5), (0, 2, 4, 5, 7), (0, 4, 5, 6, 7),
+      (4, 5, 6, 7, 8), (1, 4, 6, 7, 8), (0, 1, 4, 6, 8), (0, 1, 2, 4, 8),
+      (1, 2, 3, 4, 8)], "facets of vertex 0 are not one consecutive arc"),
+])
+def test_reconstruction_rejects_a_vertex_off_one_arc(facets, message):
+    with pytest.raises(ReconstructionFailure) as info:
+        uniqueness_reconstruction(from_facets(facets))
+    assert info.value.step == "arc-check"
+    assert message in str(info.value)
 
 
 def test_reconstruction_rejects_impure_input():

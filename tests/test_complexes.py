@@ -1,4 +1,5 @@
 from itertools import combinations
+from time import perf_counter
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -8,6 +9,7 @@ from helpers import VertexClashError
 from trimanifold.complexes import (
     EMPTY,
     SimplicialComplex,
+    _vertex_facets,
     boundary_complex,
     f_vector,
     faces_of_dim,
@@ -182,6 +184,24 @@ def test_f_vector_frozen_values():
     assert f_vector(kuehnel_torus(3)).counts == (9, 36, 54, 27)
     assert f_vector(kuehnel_solid(2)).counts == (7, 21, 21, 7)
     assert f_vector(boundary_complex(helpers.simplex(3))).euler == 2
+
+
+def test_f_vector_of_kuehnel_torus_13_within_budget():
+    # links all stacked spheres: the counts come from f0 and f1
+    x = kuehnel_torus(13)
+    t0 = perf_counter()
+    fv = f_vector(x)
+    dt = perf_counter() - t0
+    assert fv.counts[:3] == (29, 406, 2639) and fv.counts[-1] == 377
+    assert fv.euler == 0
+    assert dt < 0.6, f"f_vector(kuehnel_torus(13)) took {dt:.2f} s"
+
+
+def test_peek_reads_a_memoised_value_without_building_it():
+    x = kuehnel_torus(3)
+    assert _vertex_facets.peek(x) is None
+    index = _vertex_facets(x)
+    assert _vertex_facets.peek(x) is index
 
 
 def test_link_of_vertex_in_octahedron_boundary():

@@ -210,6 +210,16 @@ def test_betti_of_kuehnel_torus_12_within_budget():
     assert dt < 2.5, f"betti_z2(kuehnel_torus(12)) took {dt:.2f} s"
 
 
+def test_betti_of_kuehnel_torus_13_within_budget():
+    # links all stacked spheres: the Betti vector comes from g2
+    x = kuehnel_torus(13)
+    t0 = perf_counter()
+    bv = betti_z2(x)
+    dt = perf_counter() - t0
+    assert bv.betti == (1, 1) + (0,) * 10 + (1, 1)
+    assert dt < 0.6, f"betti_z2(kuehnel_torus(13)) took {dt:.2f} s"
+
+
 def test_betti_of_a_long_strip_within_budget():
     # without clearing, the column of the edge {i, i+1} reduces to zero only
     # after about i additions, so the sweep turns quadratic

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from math import comb
 from time import perf_counter
 from unittest import mock
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import helpers
-from trimanifold import fct, walkup
+from trimanifold import fct, homology, walkup
 from trimanifold.complexes import (
     boundary_complex,
     f_vector,
@@ -189,6 +190,98 @@ def test_class_membership_is_memoised_but_errors_are_not():
         with pytest.raises(PreconditionError):
             class_membership(mixed)
     assert "class_membership" not in mixed._face_cache
+
+
+def _closed(d, k):
+    """Mod-2 Betti vector of a closed d-manifold in class K with k handles."""
+    return (1, k) + (0,) * (d - 3) + (k, 1)
+
+
+def _stacked_link_instances():
+    """Complexes in class K or K-bar with their mod-2 Betti vectors."""
+    items = []
+    for d in range(3, 13):
+        items += [
+            pytest.param(lambda d=d: kuehnel_torus(d), _closed(d, 1), id=f"torus-{d}"),
+            pytest.param(lambda d=d: kuehnel_solid(d), (1, 1) + (0,) * d, id=f"solid-{d}"),
+            pytest.param(lambda d=d: random_stacked_ball(d, 8, seed=d), (1,) + (0,) * d,
+                         id=f"ball-{d}"),
+            pytest.param(lambda d=d: boundary_complex(random_stacked_ball(d + 1, 8, seed=d)),
+                         _closed(d, 0), id=f"sphere-{d}"),
+        ]
+    for d, k, m in ((3, 1, 40), (3, 2, 40), (3, 3, 60), (4, 2, 50), (5, 2, 60)):
+        items.append(pytest.param(lambda d=d, k=k, m=m: helpers.handle_body(d, k, m),
+                                  _closed(d, k), id=f"handles-{d}-{k}"))
+    return items
+
+
+@pytest.mark.parametrize("make, want", _stacked_link_instances())
+def test_stacked_link_counts_against_enumeration_and_full_matrices(make, want):
+    x = make()
+    report = class_membership(x)  # memoised, so the route answers at any d >= 3
+    in_k, counts = walkup._stacked_link_counts(x)
+    assert in_k == report.in_class_k != report.in_class_kbar
+    enumerated = tuple(len(faces_of_dim(x, k)) for k in range(x.dim + 1))
+    assert counts == enumerated == f_vector(x).counts
+    assert betti_z2(x).betti == helpers.betti_by_matrices(x) == want
+    assert homology._class_k_beta1(x, False) == (want[1] if in_k else None)
+
+
+def test_stacked_link_counts_below_the_gate_need_a_memoised_report():
+    x = kuehnel_torus(8)
+    assert walkup._stacked_link_counts(x) is None
+    assert class_membership.peek(x) is None
+    class_membership(x)
+    assert walkup._stacked_link_counts(x, test=False) is not None
+
+
+def test_the_route_survives_a_class_test_rebound_to_a_plain_wrapper():
+    original = walkup.class_membership
+
+    def traced(m):
+        return original(m)
+
+    x = kuehnel_torus(9)
+    with mock.patch.object(walkup, "class_membership", traced):
+        assert f_vector(x).counts == tuple(len(faces_of_dim(x, k)) for k in range(10))
+        assert betti_z2(x).betti == _closed(9, 1)
+    assert class_membership.peek(x).in_class_k
+
+
+def test_a_surface_with_a_memoised_class_k_report_takes_the_sweep():
+    # the theorem needs d >= 3: the 7-vertex torus has g2 = C(4, 2) and beta1 = 2
+    x = kuehnel_torus(2)
+    assert class_membership(x).in_class_k
+    assert walkup._stacked_link_counts(x) is None
+    assert betti_z2(x).betti == (1, 2, 1)
+
+
+def test_disjoint_tori_take_the_sweep():
+    torus = kuehnel_torus(9)
+    x = from_facets(torus.facets + helpers.shifted(torus, 100).facets)
+    with mock.patch.object(homology, "_sweep", wraps=homology._sweep) as sweep:
+        assert betti_z2(x).betti == (2, 2) + (0,) * 6 + (2, 2)
+    assert sweep.called
+    # the f-vector needs no connectivity
+    assert f_vector(x).counts == tuple(len(faces_of_dim(x, k)) for k in range(10))
+
+
+def test_non_pure_input_above_the_gate_is_counted_as_before():
+    x = from_facets([tuple(range(10)), (20, 21), (21, 22)])
+    counts = (13, 45 + 2) + tuple(comb(10, k + 1) for k in range(2, 10))
+    assert f_vector(x).counts == counts
+    assert betti_z2(x).betti == (2,) + (0,) * 9
+    assert class_membership.peek(x) is None
+    with pytest.raises(PreconditionError):
+        class_membership(x)
+
+
+def test_betti_of_a_solid_above_the_gate_comes_from_the_sweep():
+    x = kuehnel_solid(9)
+    with mock.patch.object(homology, "_sweep", wraps=homology._sweep) as sweep:
+        assert betti_z2(x).betti == (1, 1) + (0,) * 9
+    assert sweep.called
+    assert class_membership.peek(x).in_class_kbar
 
 
 def test_random_stacked_ball_shape_and_determinism():
