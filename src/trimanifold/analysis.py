@@ -42,7 +42,7 @@ from .errors import (
     UnknownLemmaError,
 )
 from .homology import _betti01, _class_k_beta1
-from .walkup import class_membership, kuehnel_solid
+from .walkup import class_membership
 
 __all__ = [
     "ParameterTriple",
@@ -501,11 +501,12 @@ def are_isomorphic(x: SimplicialComplex, y: SimplicialComplex):
 def uniqueness_reconstruction(mbar: SimplicialComplex) -> VertexBijection:
     """Recover the cyclic vertex order of a relabelled cyclic solid.
 
-    The facet graph must be one cycle; each vertex must lie in a
-    consecutive arc of facets; arcs must be pairwise distinct and claim
-    every cycle position.  The returned bijection carries ``mbar`` onto
-    :func:`~trimanifold.walkup.kuehnel_solid` of the matching dimension.
-    Any failed stage raises :class:`ReconstructionFailure` naming it.
+    The facet graph must be one cycle of 2D + 1 facets on 2D + 1
+    vertices, D >= 3, and each vertex must lie in one arc of D + 1
+    consecutive facets.  The bijection, each vertex to the end of its
+    arc, carries ``mbar`` onto :func:`~trimanifold.walkup.kuehnel_solid`
+    of the matching dimension.  Any failed stage raises
+    :class:`ReconstructionFailure` naming it.
     """
     if not mbar.facets or not is_pure(mbar):
         raise ReconstructionFailure("purity", "input is not a non-empty pure complex")
@@ -519,13 +520,14 @@ def uniqueness_reconstruction(mbar: SimplicialComplex) -> VertexBijection:
             "size-check",
             f"need nu = f0 = {2 * big_d + 1}, got nu = {g.num_nodes}, f0 = {n}",
         )
+    if big_d < 3:
+        raise ReconstructionFailure("size-check", f"need dimension at least 3, got {big_d}")
     # walk the cycle from node 0 toward its smaller neighbour
     ring = [0, min(g.adjacency[0])]
-    while len(ring) < g.num_nodes:
+    while len(ring) < n:
         nxt = [w for w in g.adjacency[ring[-1]] if w != ring[-2]]
         ring.append(nxt[0])
     position = {node: p for p, node in enumerate(ring)}
-    nu = g.num_nodes
     arc_len = big_d + 1
     end_of: dict[int, int] = {}
     for v, ids in sorted(_vertex_facets(mbar).items()):
@@ -535,26 +537,21 @@ def uniqueness_reconstruction(mbar: SimplicialComplex) -> VertexBijection:
                 "arc-check",
                 f"vertex {v} lies in {len(positions)} facets, expected {arc_len}",
             )
-        starts = [
-            s for s in positions
-            if all((s + k) % nu in positions for k in range(arc_len))
-        ]
-        if len(starts) != 1:
+        # a proper subset of the cycle made of k runs has k ends
+        ends = [p for p in positions if (p + 1) % n not in positions]
+        if len(ends) != 1:
             raise ReconstructionFailure(
                 "arc-check", f"facets of vertex {v} are not one consecutive arc"
             )
-        end_of[v] = (starts[0] + arc_len - 1) % nu
-    if len(set(end_of.values())) != n:
-        raise ReconstructionFailure(
-            "distinctness", "two vertices occupy the same facet arc"
-        )
-    solid = kuehnel_solid(big_d - 1)
-    bijection = VertexBijection(tuple(sorted(end_of.items())))
-    if not bijection.maps_complex(mbar, solid):
-        raise ReconstructionFailure(
-            "facet-check", "recovered order does not map facets onto the solid"
-        )
-    return bijection
+        end_of[v] = ends[0]
+    # The facet at position p holds the vertices whose arcs end in
+    # {p, ..., p + D}.  With e(q) the number of arcs ending at q, each
+    # facet having D + 1 vertices gives sum_{q=p}^{p+D} e(q) = D + 1 for
+    # every p, so e(p + D + 1) = e(p).  As e also has period 2D + 1 and
+    # gcd(D + 1, 2D + 1) = 1, e is constant, hence 1: the ends are
+    # distinct, and the facet at p maps onto the window {p, ..., p + D}.
+    # These 2D + 1 windows are the facets of kuehnel_solid(D - 1).
+    return VertexBijection(tuple(sorted(end_of.items())))
 
 
 # --- proof-chain audit ------------------------------------------------------

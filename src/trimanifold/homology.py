@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from math import comb
 from operator import itemgetter
 
-from .complexes import SimplicialComplex, boundary_complex, faces_of_dim, is_weak_pseudomanifold
+from .complexes import SimplicialComplex, _ridge_incidence, faces_of_dim, is_weak_pseudomanifold
 from .dualgraph import DualGraph, dual_graph, is_connected
 from .errors import PreconditionError
 from .walkup import _stacked_link_counts
@@ -158,19 +158,18 @@ class BettiVector:
         return sum(b if i % 2 == 0 else -b for i, b in enumerate(self.betti))
 
 
-def chain_complex(x: SimplicialComplex, up_to: int | None = None) -> Z2ChainComplex:
-    """Face lists and boundary matrices of ``x`` up to dimension ``up_to``."""
+def chain_complex(x: SimplicialComplex) -> Z2ChainComplex:
+    """Face lists and boundary matrices of ``x`` in every dimension."""
     if not x.facets:
         raise PreconditionError("chain complex of the empty complex is undefined")
-    top = x.dim if up_to is None else min(up_to, x.dim)
     faces: list[tuple] = []
     index: list[dict] = []
-    for k in range(top + 1):
+    for k in range(x.dim + 1):
         ordered = tuple(sorted(faces_of_dim(x, k)))
         faces.append(ordered)
         index.append({f: i for i, f in enumerate(ordered)})
     boundaries = [Z2Matrix(0, tuple(0 for _ in faces[0]))]
-    for k in range(1, top + 1):
+    for k in range(1, x.dim + 1):
         lower = index[k - 1]
         cols = []
         for face in faces[k]:
@@ -297,7 +296,7 @@ def is_orientable(m: SimplicialComplex) -> bool:
     """
     if not m.facets or not is_weak_pseudomanifold(m):
         raise PreconditionError("orientability needs a pure weak pseudomanifold")
-    if boundary_complex(m).facets:
+    if any(len(ids) == 1 for ids in _ridge_incidence(m).values()):
         raise PreconditionError("orientability check requires a closed complex")
     g: DualGraph = dual_graph(m)
     if not is_connected(g):

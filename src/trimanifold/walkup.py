@@ -36,6 +36,7 @@ from .complexes import (
     _faces_of_size,
     _from_canonical,
     _memoised,
+    _ridge_incidence,
     _vertex_facets,
     boundary_complex,
     from_facets,
@@ -78,7 +79,6 @@ class ClassReport:
     in_class_k: bool
     in_class_kbar: bool
     failing_vertex: int | None
-    d: int
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ def is_stacked_sphere(s: SimplicialComplex) -> bool:
     """
     if not s.facets or not is_weak_pseudomanifold(s):
         raise PreconditionError("input must be a pure weak pseudomanifold")
-    if boundary_complex(s).facets:
+    if any(len(ids) == 1 for ids in _ridge_incidence(s).values()):
         raise PreconditionError("input has a non-empty boundary")
     dd = s.dim
     facets = set(s.facets)
@@ -212,7 +212,6 @@ def class_membership(m: SimplicialComplex) -> ClassReport:
         k_fail is None,
         kbar_fail is None,
         kbar_fail if k_fail is None else k_fail,
-        m.dim,
     )
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from time import perf_counter
@@ -543,6 +544,70 @@ def test_reconstruction_rejects_a_vertex_off_one_arc(facets, message):
         uniqueness_reconstruction(from_facets(facets))
     assert info.value.step == "arc-check"
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("facets, big_d", [
+    # a triangle's three edges and the five-vertex Moebius strip are facet
+    # cycles of the right size below the dimension of any cyclic solid
+    ([(0, 1), (1, 2), (0, 2)], 1),
+    ([(i, (i + 1) % 5, (i + 2) % 5) for i in range(5)], 2),
+])
+def test_reconstruction_rejects_dimension_below_three(facets, big_d):
+    with pytest.raises(ReconstructionFailure) as info:
+        uniqueness_reconstruction(from_facets(facets))
+    assert info.value.step == "size-check"
+    assert f"need dimension at least 3, got {big_d}" in str(info.value)
+
+
+def _closed_facet_cycles(big_d, walks, seed):
+    """Seeded walks of 2D + 1 facets on {0, ..., 2D} whose facet graph is
+    one cycle: each step moves to a facet sharing a ridge with the last one
+    and with no earlier one, and the last step also closes on the first.
+    A walk that runs out of such facets is dropped."""
+    rng = random.Random(seed)
+    n = 2 * big_d + 1
+    every = [frozenset(c) for c in itertools.combinations(range(n), big_d + 1)]
+    near = {f: [g for g in every if len(f & g) == big_d] for f in every}
+    for _ in range(walks):
+        walk = [rng.choice(every)]
+        while len(walk) < n:
+            closing = len(walk) == n - 1
+            options = [
+                f for f in near[walk[-1]]
+                if all(len(f & g) < big_d for g in walk[closing:-1])
+                and (not closing or len(f & walk[0]) == big_d)
+            ]
+            if not options:
+                break
+            walk.append(rng.choice(options))
+        else:
+            yield from_facets(walk)
+
+
+def test_reconstruction_past_arc_check_always_maps_onto_the_solid():
+    # passing arc-check implies distinct arc ends and facets that map onto
+    # the solid (the proof in uniqueness_reconstruction); random facet sets
+    # almost never close into a cycle, so the walk builds closed cycles
+    t0 = perf_counter()
+    outcomes = Counter()
+    for big_d in (3, 4):
+        solid = kuehnel_solid(big_d - 1)
+        for x in _closed_facet_cycles(big_d, 1500, seed=big_d):
+            try:
+                bij = uniqueness_reconstruction(x)
+            except ReconstructionFailure as exc:
+                message = str(exc)
+                if exc.step == "size-check":
+                    # the cycle is closed but leaves a vertex out
+                    assert x.num_vertices < 2 * big_d + 1, message
+                    continue
+                assert exc.step == "arc-check", message
+                outcomes["one arc" if "consecutive" in message else "arc size"] += 1
+                continue
+            assert bij.maps_complex(x, solid)
+            outcomes["mapped"] += 1
+    assert min(outcomes["mapped"], outcomes["one arc"], outcomes["arc size"]) > 0, outcomes
+    assert perf_counter() - t0 < 2.0
 
 
 def test_reconstruction_rejects_impure_input():

@@ -84,6 +84,18 @@ def test_check_failing_predicate_exits_one(capsys, tmp_path):
     assert verdicts == {"stacked-ball": True, "stacked-sphere": False}
 
 
+def test_check_stacked_sphere_of_a_ball_names_its_boundary(capsys, tmp_path):
+    path = tmp_path / "ball.fct"
+    fct.write_fct(helpers.path_ball(3, 5), path)
+    code, out, err = run(capsys, "check", str(path), "--checks", "stacked-sphere")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["checks"] == [{
+        "id": "stacked-sphere",
+        "holds": False,
+        "witness": {"error": "input has a non-empty boundary"},
+    }]
+
+
 def test_check_stacked_sphere_past_a_thousand_peels(capsys, tmp_path):
     # peeling this sphere takes 1199 steps; a search that recursed once per
     # peel died on the interpreter's recursion limit with exit 3

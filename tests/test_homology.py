@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import helpers
-from trimanifold.complexes import boundary_complex, f_vector, from_facets, relabel_vertices
+from trimanifold.complexes import EMPTY, boundary_complex, f_vector, from_facets, relabel_vertices
 from trimanifold.errors import PreconditionError
 from trimanifold.homology import (
     Z2Matrix,
@@ -62,8 +62,6 @@ def test_boundary_of_boundary_vanishes():
 
 
 def test_chain_complex_rejects_empty():
-    from trimanifold.complexes import EMPTY
-
     with pytest.raises(PreconditionError):
         chain_complex(EMPTY)
 
@@ -137,8 +135,13 @@ def test_orientability_alternates_with_torus_dimension():
 
 
 def test_orientability_preconditions():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^orientability check requires a closed complex$"):
         is_orientable(helpers.path_ball(2, 4))
+    impure = from_facets([(0, 1, 2), (2, 3)])
+    branched = from_facets([(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+    for x in (EMPTY, impure, branched):
+        with pytest.raises(PreconditionError, match="^orientability needs a pure weak pseudomanifold$"):
+            is_orientable(x)
 
 
 @st.composite

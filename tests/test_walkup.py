@@ -10,6 +10,7 @@ from hypothesis import example, given, strategies as st
 import helpers
 from trimanifold import fct, homology, walkup
 from trimanifold.complexes import (
+    EMPTY,
     boundary_complex,
     f_vector,
     faces_of_dim,
@@ -160,8 +161,23 @@ def test_stacked_sphere_recognition_has_no_size_cliff():
 
 
 def test_stacked_sphere_needs_a_closed_input():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^input has a non-empty boundary$"):
         is_stacked_sphere(helpers.path_ball(3, 6))
+    # in dimension 0 the one ridge is the empty face: one point has a
+    # boundary, two points are the stacked 0-sphere
+    with pytest.raises(PreconditionError, match="^input has a non-empty boundary$"):
+        is_stacked_sphere(from_facets([(0,)]))
+    assert is_stacked_sphere(from_facets([(0,), (1,)]))
+
+
+@pytest.mark.parametrize("x", [
+    EMPTY,
+    from_facets([(0, 1, 2), (2, 3)]),
+    from_facets([(0, 1, 2), (0, 1, 3), (0, 1, 4)]),
+], ids=["empty", "impure", "three-facets-on-a-ridge"])
+def test_stacked_sphere_needs_a_weak_pseudomanifold(x):
+    with pytest.raises(PreconditionError, match="^input must be a pure weak pseudomanifold$"):
+        is_stacked_sphere(x)
 
 
 def test_class_membership_of_cyclic_complexes():
