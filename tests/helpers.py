@@ -15,8 +15,9 @@ paths in the package, so agreement is evidence rather than circularity.
 
 The test-only join raises :class:`VertexClashError`, defined here.
 
-One oracle keeps an earlier form of an entry point instead: the FCT
-reader that converts one token at a time.
+Two oracles keep an earlier form of an entry point instead: the FCT
+reader that converts one token at a time, and the Walkup class report
+that builds every vertex link and runs both recognisers on it.
 """
 
 import io
@@ -32,6 +33,7 @@ from trimanifold.complexes import (
     boundary_complex,
     faces_of_dim,
     from_facets,
+    is_pure,
     relabel_vertices,
 )
 from trimanifold.dualgraph import DualGraph, components_minus, is_connected
@@ -39,12 +41,16 @@ from trimanifold.errors import (
     EmptyComplexError,
     FctFormatError,
     InadmissibleHandleError,
+    PreconditionError,
     TriManifoldError,
 )
 from trimanifold.homology import chain_complex
 from trimanifold.walkup import (
+    ClassReport,
     HandleMap,
     handle_addition,
+    is_stacked_ball,
+    is_stacked_sphere,
     kuehnel_solid,
     kuehnel_torus,
     random_stacked_ball,
@@ -233,6 +239,30 @@ def link_by_definition(x: SimplicialComplex, alpha) -> SimplicialComplex:
         if a <= set(face)
     ]
     return from_facets(gens) if gens else EMPTY
+
+
+def class_membership_by_links(m: SimplicialComplex, link=link_by_definition) -> ClassReport:
+    """The Walkup class report from every vertex link on its own: each
+    link is built by ``link`` and goes through both recognisers."""
+    if not m.facets or not is_pure(m):
+        raise PreconditionError("class membership requires a non-empty pure complex")
+    k_fail = kbar_fail = None
+    for v in m.vertices:
+        lk = link(m, (v,))
+        try:
+            sphere_ok = is_stacked_sphere(lk)
+        except PreconditionError:
+            sphere_ok = False
+        ball_ok = is_stacked_ball(lk)
+        if not sphere_ok and k_fail is None:
+            k_fail = v
+        if not ball_ok and kbar_fail is None:
+            kbar_fail = v
+    return ClassReport(
+        k_fail is None,
+        kbar_fail is None,
+        kbar_fail if k_fail is None else k_fail,
+    )
 
 
 def rank_gf2_dense(rows) -> int:

@@ -1,11 +1,12 @@
 import hashlib
 import tracemalloc
+from itertools import product
 from math import comb
 from time import perf_counter
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import helpers
 from trimanifold import fct, homology, walkup
@@ -206,6 +207,97 @@ def test_class_membership_is_memoised_but_errors_are_not():
         with pytest.raises(PreconditionError):
             class_membership(mixed)
     assert "class_membership" not in mixed._face_cache
+
+
+def _same_class_report(x, by_links=helpers.link_by_definition):
+    try:
+        want = helpers.class_membership_by_links(x, by_links)
+    except PreconditionError:
+        with pytest.raises(PreconditionError):
+            class_membership(x)
+        return
+    assert class_membership(x) == want, x
+
+
+@settings(max_examples=1000, deadline=None)
+@given(helpers.small_complexes())
+def test_class_membership_against_every_link_on_its_own(x):
+    _same_class_report(x)
+
+
+def _class_report_instances():
+    """Complexes to classify, and the link the oracle builds them with: by
+    definition while a complex is small, the package's own otherwise (it
+    is checked against the definition in test_complexes)."""
+    items = [(name, lambda x=x: x) for name, x in helpers.corpus()]
+    for d in range(2, 10):
+        items += [(f"torus-{d}", lambda d=d: kuehnel_torus(d)),
+                  (f"solid-{d}", lambda d=d: kuehnel_solid(d))]
+    for d in range(1, 6):
+        for seed in (0, 1):
+            items += [
+                (f"ball-{d}-{seed}", lambda d=d, seed=seed: random_stacked_ball(d, 30, seed)),
+                (f"sphere-{d}-{seed}",
+                 lambda d=d, seed=seed: boundary_complex(random_stacked_ball(d, 30, seed))),
+            ]
+    for d, k in ((3, 1), (3, 2), (4, 2)):
+        items.append((f"handles-{d}-{k}", lambda d=d, k=k: helpers.handle_body(d, k, 40)))
+    for n in (3, 4, 6, 9):
+        items.append((f"polygon-{n}",
+                      lambda n=n: from_facets([(i, (i + 1) % n) for i in range(n)])))
+    # the boundary of the 4-dimensional cross-polytope is closed, and its
+    # links are octahedra, which are not stacked
+    cross = from_facets(product((0, 1), (2, 3), (4, 5), (6, 7)))
+    items += [
+        ("octahedron", lambda: OCTAHEDRON),
+        ("cross-polytope-3", lambda: cross),
+        ("one-point", lambda: from_facets([(0,)])),
+        ("two-points", lambda: from_facets([(0,), (1,)])),
+        ("three-facets-on-a-ridge", lambda: from_facets([(0, 1, 2), (0, 1, 3), (0, 1, 4)])),
+    ]
+    return [pytest.param(make, id=name) for name, make in items]
+
+
+@pytest.mark.parametrize("make", _class_report_instances())
+def test_class_membership_against_every_link_on_its_own_on_families(make):
+    x = make()
+    _same_class_report(x, helpers.link_by_definition if x.num_vertices <= 13 else link)
+
+
+def test_class_membership_of_polygons_and_impure_input():
+    # the links of a polygon are two points each: a stacked 0-sphere and a
+    # stacked 0-ball, so the closed-link shortcut must not rule out K-bar
+    hexagon = from_facets([(i, (i + 1) % 6) for i in range(6)])
+    assert class_membership(hexagon) == walkup.ClassReport(True, True, None)
+    mixed = from_facets([(0, 1, 2, 3), (3, 4, 5), (5, 6)])
+    with pytest.raises(PreconditionError):
+        class_membership(mixed)
+    assert mixed._face_cache == {}
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: kuehnel_torus(5), id="torus-5"),
+    pytest.param(lambda: helpers.handle_body(3, 2, 40), id="handles-3-2"),
+])
+def test_class_membership_reads_closed_links_from_the_ambient_ridge_index(make):
+    x = make()
+    links = []
+    real = walkup.link
+
+    def recorded(m, a):
+        links.append(real(m, a))
+        return links[-1]
+
+    with mock.patch.object(walkup, "link", recorded), \
+            mock.patch.object(walkup, "_ridge_incidence",
+                              wraps=walkup._ridge_incidence) as ridges:
+        report = class_membership(x)
+    assert report.in_class_k and not report.in_class_kbar
+    assert len(links) == x.num_vertices
+    assert not any("_ridge_incidence" in lk._face_cache for lk in links)
+    # one index, the ambient one, read once and kept
+    assert ridges.call_count == 1 and ridges.call_args.args[0] is x
+    assert "_ridge_incidence" in x._face_cache
 
 
 def _closed(d, k):
