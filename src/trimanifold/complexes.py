@@ -10,7 +10,7 @@ writes the cache.  It wraps these builders:
 - :func:`_vertex_facets`, vertex -> ascending ids of its facets;
 - :func:`_ridge_incidence`, codimension-one face -> ids of its facets,
   from which :func:`.walkup.class_membership` also reads which vertex
-  links are closed, so that no link builds one of its own;
+  links are closed, so that no closed link builds one of its own;
 - :func:`.dualgraph.dual_graph`, the facet graph, from the ridge index;
 - :func:`.walkup.class_membership`, the Walkup class report, whose
   ``peek(x)`` returns the stored report, or None, without building it.

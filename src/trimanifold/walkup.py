@@ -200,18 +200,16 @@ def class_membership(m: SimplicialComplex) -> ClassReport:
     be a stacked ball.  ``failing_vertex`` names the first vertex that
     ruled out a class, sphere failures taking precedence.
 
-    The links are taken one per vertex, in vertex order, and none of them
-    indexes its own ridges.  A ridge of lk v is a ridge of ``m`` through v
+    The links are taken one per vertex, in vertex order, and the closed
+    ones index no ridges of their own.  A ridge of lk v is a ridge of ``m`` through v
     with v removed, and it lies in the facets of that ridge, less v.  So
     lk v is a pure closed weak pseudomanifold exactly when every ridge of
     ``m`` through v lies in two facets, which one pass over the memoised
     ridge index of ``m`` decides for every vertex at once.  Such a link is
-    peeled at once, and when ``m`` has dimension d >= 2 it is no stacked
-    ball: a closed pseudomanifold of dimension D >= 1 with f facets has
-    (D+1) f / 2 >= f ridges, so its facet graph has that many edges, and
-    a tree has f - 1.  Every other link, and every link when d < 2 (two
-    points are a stacked sphere and a stacked ball), goes through
-    :func:`is_stacked_sphere` and :func:`is_stacked_ball`.
+    peeled at once; every other link is no stacked sphere.  The ball test
+    builds no facet graph for a closed link of dimension D >= 1 either:
+    each of its f_0 vertices lies in at least D + 1 of its f facets, so
+    f >= f_0 and the vertex count f_0 = f + D already fails.
 
     The report is memoised on the complex, so the checks and lemmas that
     all ask for it classify the links once; a precondition error is
@@ -219,26 +217,16 @@ def class_membership(m: SimplicialComplex) -> ClassReport:
     """
     if not m.facets or not is_pure(m):
         raise PreconditionError("class membership requires a non-empty pure complex")
-    if m.dim < 2:
-        open_at = set(m.vertices)
-    else:
-        open_at = {
-            v for ridge, ids in _ridge_incidence(m).items() if len(ids) != 2
-            for v in ridge
-        }
+    open_at = {
+        v for ridge, ids in _ridge_incidence(m).items() if len(ids) != 2
+        for v in ridge
+    }
     k_fail: int | None = None
     kbar_fail: int | None = None
     for v in m.vertices:
         lk = link(m, (v,))
-        if v not in open_at:
-            sphere_ok = _peels_to_simplex_boundary(lk)
-            ball_ok = False
-        else:
-            try:
-                sphere_ok = is_stacked_sphere(lk)
-            except PreconditionError:
-                sphere_ok = False
-            ball_ok = is_stacked_ball(lk)
+        sphere_ok = v not in open_at and _peels_to_simplex_boundary(lk)
+        ball_ok = is_stacked_ball(lk)
         if not sphere_ok and k_fail is None:
             k_fail = v
         if not ball_ok and kbar_fail is None:
