@@ -243,11 +243,12 @@ def class_membership(m: SimplicialComplex) -> ClassReport:
 _memoised_report = class_membership.peek
 
 # from this dimension up the class test costs less than counting faces.
-# Measured (Python 3.11, 2-vCPU host, lower quartile of 25 fresh complexes):
-# on Kuehnel tori the class test takes 10 ms at d = 8 against 7-8 ms for
-# the middle face levels, and 10 against 15 ms at d = 9; on solids it wins
-# from d = 8 (1.6 against 2.0 ms), but at d = 8 the torus's f_vector would
-# lose (10-11 ms through the class test against 8 ms by counting)
+# Measured (Python 3.11, 2-vCPU host, fastest of 25 fresh complexes): on
+# Kuehnel tori the class test takes 8.6 ms at d = 8 against 7.9 ms for the
+# middle face levels, and 13.6 against 18.2 ms at d = 9; on solids the two
+# are even at d = 8 (2.2 ms) and the class test wins from d = 9 (2.5
+# against 5.3 ms).  A gate at 8 makes f_vector slower on both (lower
+# quartile of 25: T8 10.1 against 7.6 ms, S8 2.4 against 2.3 ms)
 _ROUTE_MIN_DIM = 9
 
 
