@@ -206,7 +206,7 @@ def normalize_lemma_id(lemma_id: str) -> str:
 def _require_neighborly_kbar(m: SimplicialComplex):
     if not m.facets or not is_pure(m):
         raise LemmaHypothesisError("input must be a non-empty pure complex")
-    if not is_neighborly(m, 2):
+    if not is_neighborly(m):
         raise LemmaHypothesisError("input must be 2-neighborly")
     report = class_membership(m)
     if not report.in_class_kbar:

@@ -37,9 +37,7 @@ from .errors import LemmaHypothesisError, PreconditionError, TriManifoldError
 
 
 def _read_input(path: str) -> SimplicialComplex:
-    if path == "-":
-        return fct.loads(sys.stdin.read())
-    return fct.read_fct(path)
+    return fct.read_fct(sys.stdin if path == "-" else path)
 
 
 def _instance_name(path: str) -> str:
@@ -52,7 +50,7 @@ def _emit_fct(x: SimplicialComplex, out: str | None) -> None:
         f"dim {x.dim} f-vector {' '.join(map(str, fv.counts))} euler {fv.euler}"
     )
     if out is None or out == "-":
-        sys.stdout.write(fct.dumps(x))
+        fct.write_fct(x, sys.stdout)
         print(summary, file=sys.stderr)
     else:
         fct.write_fct(x, out)
@@ -90,7 +88,7 @@ def _tight_verdict(x: SimplicialComplex) -> tuple:
 _CHECKS = {
     "pure": lambda x: (is_pure(x), None),
     "pm": lambda x: (is_pseudomanifold(x), None),
-    "neighborly": lambda x: (is_neighborly(x, 2), None),
+    "neighborly": lambda x: (is_neighborly(x), None),
     "stacked-ball": lambda x: (walkup.is_stacked_ball(x), None),
     "stacked-sphere": lambda x: (walkup.is_stacked_sphere(x), None),
     "class-k": lambda x: _class_verdict(x, kbar=False),

@@ -8,6 +8,9 @@ writes the cache.  It wraps these builders:
 
 - ``dim`` and ``vertices``, the dimension and the vertex set;
 - :func:`_vertex_facets`, vertex -> ascending ids of its facets;
+- :func:`_neighbours`, vertex -> its neighbours in the 1-skeleton, read
+  by :func:`is_neighborly`, the class-K counts, the bar construction and
+  handle addition;
 - :func:`_ridge_incidence`, codimension-one face -> ids of its facets,
   from which :func:`.walkup.class_membership` also reads which vertex
   links are closed, so that no closed link builds one of its own;
@@ -21,9 +24,10 @@ the counts of a complex whose links are all stacked spheres or all
 stacked balls from f_0 and f_1 instead (:func:`.walkup._stacked_link_counts`).
 
 This module is the only one that finds the facets at a vertex or across a
-ridge; every other module reads the two indices.  Vertex labels are
-arbitrary non-negative integers and survive every operation unchanged;
-algorithms that want dense indices build a local relabelling.
+ridge, or the neighbours of a vertex; every other module reads the three
+indices.  Vertex labels are arbitrary non-negative integers and survive
+every operation unchanged; algorithms that want dense indices build a
+local relabelling.
 
 All arithmetic is exact.  Python integers are unbounded, so the counting
 identities checked elsewhere in the package cannot silently overflow.
@@ -32,9 +36,8 @@ identities checked elsewhere in the package cannot silently overflow.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
-from math import comb
+from itertools import chain, combinations, repeat
 from typing import Iterable
 
 from .errors import (
@@ -209,7 +212,8 @@ def _from_canonical(canon: set) -> SimplicialComplex:
 
 
 def faces_of_dim(x: SimplicialComplex, k: int) -> frozenset:
-    """All k-dimensional faces of ``x`` as a new frozenset of sorted tuples.
+    """All k-dimensional faces of ``x`` as a new frozenset of sorted tuples,
+    the only code that enumerates a face level from the facets.
 
     ``k == -1`` yields the singleton set holding the empty face.  The set
     is not memoised: each call builds it again.
@@ -218,15 +222,7 @@ def faces_of_dim(x: SimplicialComplex, k: int) -> frozenset:
         raise DimensionRangeError(f"k={k} outside [-1, {x.dim}]")
     if k == -1:
         return frozenset({()})
-    return frozenset(_faces_of_size(x, k + 1))
-
-
-def _faces_of_size(x: SimplicialComplex, size: int) -> set:
-    """The faces of ``x`` with ``size`` vertices, as a new mutable set."""
-    out: set[Face] = set()
-    for facet in x.facets:
-        out.update(itertools.combinations(facet, size))
-    return out
+    return frozenset(chain.from_iterable(map(combinations, x.facets, repeat(k + 1))))
 
 
 def f_vector(x: SimplicialComplex) -> FVector:
@@ -245,7 +241,7 @@ def f_vector(x: SimplicialComplex) -> FVector:
     if route is not None:
         return FVector.from_counts(route[1])
     d = x.dim
-    middle = (len(_faces_of_size(x, k + 1)) for k in range(1, d))
+    middle = (len(faces_of_dim(x, k)) for k in range(1, d))
     top = sum(len(f) == d + 1 for f in x.facets)
     return FVector.from_counts((x.num_vertices, *middle, top) if d else (top,))
 
@@ -289,6 +285,19 @@ def _vertex_facets(x: SimplicialComplex) -> dict:
     return index
 
 
+@_memoised
+def _neighbours(x: SimplicialComplex) -> dict:
+    """Memoised map from each vertex to its neighbours in the 1-skeleton,
+    as cached sets that callers only read."""
+    nbr: dict[int, set] = {v: set() for v in x.vertices}
+    for f in x.facets:
+        for v in f:
+            nbr[v].update(f)
+    for v, s in nbr.items():
+        s.discard(v)
+    return nbr
+
+
 def _facets_containing(x: SimplicialComplex, a: Iterable[int]) -> list:
     """Ascending ids of the facets containing the non-empty vertex set ``a``."""
     index = _vertex_facets(x)
@@ -303,7 +312,7 @@ def _ridge_incidence(x: SimplicialComplex) -> dict:
     facet ids."""
     ridges: dict = {}
     for i, facet in enumerate(x.facets):
-        for ridge in itertools.combinations(facet, len(facet) - 1):
+        for ridge in combinations(facet, len(facet) - 1):
             ridges.setdefault(ridge, []).append(i)
     return ridges
 
@@ -352,11 +361,7 @@ def relabel_vertices(x: SimplicialComplex, mapping: dict) -> SimplicialComplex:
     return from_facets(tuple(mapping[v] for v in f) for f in x.facets)
 
 
-def is_neighborly(x: SimplicialComplex, l: int = 2) -> bool:
-    """True when every ``l``-subset of the vertex set is a face."""
-    if l < 1:
-        raise ValueError(f"l must be positive, got {l}")
-    n = x.num_vertices
-    if l > x.dim + 1:
-        return comb(n, l) == 0
-    return len(faces_of_dim(x, l - 1)) == comb(n, l)
+def is_neighborly(x: SimplicialComplex) -> bool:
+    """True when every two vertices span an edge."""
+    f0 = x.num_vertices
+    return all(len(s) == f0 - 1 for s in _neighbours(x).values())

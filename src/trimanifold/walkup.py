@@ -33,12 +33,13 @@ from .complexes import (
     Face,
     SimplicialComplex,
     _as_face,
-    _faces_of_size,
     _from_canonical,
     _memoised,
+    _neighbours,
     _ridge_incidence,
     _vertex_facets,
     boundary_complex,
+    faces_of_dim,
     from_facets,
     is_pure,
     is_weak_pseudomanifold,
@@ -362,7 +363,7 @@ def bar_construction(m: SimplicialComplex) -> SimplicialComplex:
     of the boundary of a 400-facet path-shaped 4-ball.
     """
     apexes: dict[tuple[int, int], list[int]] = {}
-    for a, b, c in _faces_of_size(m, 3):
+    for a, b, c in faces_of_dim(m, 2) if m.dim >= 2 else ():
         apexes.setdefault((a, b), []).append(c)
         apexes.setdefault((a, c), []).append(b)
         apexes.setdefault((b, c), []).append(a)
@@ -457,18 +458,6 @@ def _maximal_sets_at(v: int, earlier: list, later: list, apexes: dict,
                     t = fill(w, z)
                 sub[z] = allowed[z] & t
             stack.append((chosen + (around[w],), cp, cx, sub))
-
-
-def _neighbours(x: SimplicialComplex) -> dict:
-    """Map each vertex of ``x`` to the set of its neighbours in the
-    1-skeleton."""
-    nbr: dict[int, set] = {v: set() for v in x.vertices}
-    for f in x.facets:
-        for v in f:
-            nbr[v].update(f)
-    for v, s in nbr.items():
-        s.discard(v)
-    return nbr
 
 
 def handle_addition(x: SimplicialComplex, h: HandleMap) -> SimplicialComplex:

@@ -384,8 +384,8 @@ def test_verify_runs_class_membership_once(capsys, tmp_path, monkeypatch):
     assert [c["holds"] for c in json.loads(out)["checks"]] == [True] * 4
 
 
-_BUILDERS = {"dim", "vertices", "_vertex_facets", "_ridge_incidence", "dual_graph",
-             "class_membership"}
+_BUILDERS = {"dim", "vertices", "_vertex_facets", "_neighbours", "_ridge_incidence",
+             "dual_graph", "class_membership"}
 
 
 @pytest.mark.parametrize("make", [kuehnel_torus, kuehnel_solid])
@@ -400,6 +400,35 @@ def test_only_the_memo_builders_write_the_cache(capsys, tmp_path, monkeypatch, m
     assert len(read) == 2
     for x in read:
         assert x._face_cache and set(x._face_cache) <= _BUILDERS
+
+
+def test_the_one_skeleton_comes_from_the_neighbour_table(capsys, tmp_path, monkeypatch):
+    # neighborliness, the class-K counts and every lemma hypothesis read
+    # the memoised neighbour table; no command enumerates the edge level
+    real = trimanifold.complexes.faces_of_dim
+    levels = []
+
+    def traced(x, k):
+        levels.append(k)
+        return real(x, k)
+
+    for name, module in list(sys.modules.items()):  # every binding of it
+        if name.startswith("trimanifold") and getattr(module, "faces_of_dim", None) is real:
+            monkeypatch.setattr(module, "faces_of_dim", traced)
+    read = []
+    real_read = fct.read_fct
+    monkeypatch.setattr(fct, "read_fct", lambda p: read.append(real_read(p)) or read[-1])
+    checks = "pm,neighborly,class-k,tight-neighborly"
+    jobs = [(kuehnel_torus(9), ["check", "--checks", checks]), (kuehnel_solid(5), ["verify"])]
+    for i, (x, (command, *options)) in enumerate(jobs):
+        path = tmp_path / f"{i}.fct"
+        fct.write_fct(x, path)
+        code, _, err = run(capsys, command, str(path), *options)
+        assert code == 0, err
+    assert 1 not in levels
+    assert len(read) == 2
+    for x in read:
+        assert "_neighbours" in x._face_cache
 
 
 @pytest.mark.parametrize("collecting", [True, False])

@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 from time import perf_counter
 
 import pytest
@@ -171,6 +172,7 @@ def test_f_vector_against_enumeration(faces):
 def test_faces_of_dim_bounds():
     x = helpers.simplex(2)
     assert faces_of_dim(x, -1) == frozenset({()})
+    assert faces_of_dim(EMPTY, -1) == frozenset({()})
     with pytest.raises(DimensionRangeError):
         faces_of_dim(x, 3)
     with pytest.raises(DimensionRangeError):
@@ -340,14 +342,24 @@ def test_relabel_vertices():
         relabel_vertices(x, {0: "a", 1: 2, 2: 3})
 
 
+def _neighborly_by_enumeration(x):
+    return len(helpers.faces_by_enumeration(x, 2)) == comb(x.num_vertices, 2)
+
+
 def test_neighborliness():
     assert is_neighborly(kuehnel_torus(4))
-    assert is_neighborly(boundary_complex(helpers.simplex(4)), 3)
+    assert is_neighborly(boundary_complex(helpers.simplex(4)))
     # hexagon misses chords
     assert not is_neighborly(from_facets([(i, (i + 1) % 6) for i in range(6)]))
+    for name, x in helpers.corpus():
+        assert is_neighborly(x) == _neighborly_by_enumeration(x), name
 
 
-def test_neighborliness_beyond_dimension():
-    # a 1-complex has no triangles, so 3-neighborliness needs comb(n,3) == 0
-    assert is_neighborly(helpers.simplex(1), 3)
-    assert not is_neighborly(from_facets([(0, 1), (1, 2), (0, 2)]), 3)
+@given(helpers.small_complexes())
+@example(from_facets([(0,)]))
+@example(from_facets([(0,), (1,)]))
+@example(from_facets([(i, (i + 1) % 6) for i in range(6)]))
+@example(from_facets([(0, 1, 2), (3,)]))
+@example(boundary_complex(helpers.simplex(4)))
+def test_neighborliness_against_enumeration(x):
+    assert is_neighborly(x) == _neighborly_by_enumeration(x)
