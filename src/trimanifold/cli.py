@@ -61,12 +61,6 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _write_dot(x: SimplicialComplex, path: str) -> None:
-    g = dual_graph(x)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_dot(g))
-
-
 def _class_verdict(x: SimplicialComplex, kbar: bool) -> tuple:
     report = walkup.class_membership(x)
     holds = report.in_class_kbar if kbar else report.in_class_k
@@ -107,6 +101,40 @@ def _run_check(x: SimplicialComplex, name: str) -> dict:
     return {"id": name, "holds": holds, "witness": witness}
 
 
+def _check_name(name: str) -> str:
+    if name not in _CHECKS:
+        raise ValueError(f"unknown check {name!r}")
+    return name
+
+
+def _run_lemma(x: SimplicialComplex, lid: str) -> dict:
+    """One verdict of the lemma with canonical id ``lid`` on ``x``."""
+    try:
+        rep = analysis.verify_lemma(x, lid)
+        holds, witness = rep.holds, rep.witness
+    except LemmaHypothesisError as exc:
+        holds, witness = False, {"hypothesis_error": str(exc)}
+    return {"id": f"lemma-{lid}", "holds": holds, "witness": witness}
+
+
+def _parse_ids(option: str, text: str, canonical) -> list:
+    """Split an id list, map each id through ``canonical``, refuse an empty list."""
+    ids = [canonical(s.strip()) for s in text.split(",") if s.strip()]
+    if not ids:
+        raise ValueError(f"empty {option} list")
+    return ids
+
+
+def _report(args, x: SimplicialComplex, ids: list, verdict) -> int:
+    """Write ``--dot``, print the rows ``verdict(x, id)``, return the exit code."""
+    if args.dot:
+        with open(args.dot, "w", encoding="utf-8") as fh:
+            fh.write(to_dot(dual_graph(x)))
+    checks = [verdict(x, i) for i in ids]
+    _emit_json({"instance": _instance_name(args.input), "checks": checks})
+    return 0 if all(c["holds"] for c in checks) else 1
+
+
 def cmd_gen(args) -> int:
     if args.kind == "kuehnel-solid":
         x = walkup.kuehnel_solid(args.d)
@@ -123,16 +151,7 @@ def cmd_gen(args) -> int:
 
 def cmd_check(args) -> int:
     x = _read_input(args.input)
-    names = [s.strip() for s in args.checks.split(",") if s.strip()]
-    for name in names:
-        if name not in CHECK_NAMES:
-            print(f"unknown check {name!r}", file=sys.stderr)
-            return 2
-    if args.dot:
-        _write_dot(x, args.dot)
-    checks = [_run_check(x, name) for name in names]
-    _emit_json({"instance": _instance_name(args.input), "checks": checks})
-    return 0 if all(c["holds"] for c in checks) else 1
+    return _report(args, x, _parse_ids("--checks", args.checks, _check_name), _run_check)
 
 
 def cmd_betti(args) -> int:
@@ -164,30 +183,8 @@ def cmd_params(args) -> int:
 
 def cmd_verify(args) -> int:
     x = _read_input(args.input)
-    ids = [s.strip() for s in args.lemmas.split(",") if s.strip()]
-    if args.dot:
-        _write_dot(x, args.dot)
-    checks = []
-    for lid in ids:
-        try:
-            rep = analysis.verify_lemma(x, lid)
-            checks.append(
-                {
-                    "id": f"lemma-{rep.lemma_id}",
-                    "holds": rep.holds,
-                    "witness": rep.witness,
-                }
-            )
-        except LemmaHypothesisError as exc:
-            checks.append(
-                {
-                    "id": f"lemma-{analysis.normalize_lemma_id(lid)}",
-                    "holds": False,
-                    "witness": {"hypothesis_error": str(exc)},
-                }
-            )
-    _emit_json({"instance": _instance_name(args.input), "checks": checks})
-    return 0 if all(c["holds"] for c in checks) else 1
+    ids = _parse_ids("--lemmas", args.lemmas, analysis.normalize_lemma_id)
+    return _report(args, x, ids, _run_lemma)
 
 
 def cmd_iso(args) -> int:
@@ -242,7 +239,9 @@ def _parse_psi(text: str) -> dict:
         left, sep, right = piece.partition(":")
         if not sep:
             raise ValueError(f"bad pair {piece!r}, expected src:dst")
-        psi[_vertex(left)] = _vertex(right)
+        if (src := _vertex(left)) in psi:
+            raise ValueError(f"vertex {src} is mapped twice in --psi")
+        psi[src] = _vertex(right)
     return psi
 
 

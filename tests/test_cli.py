@@ -132,23 +132,53 @@ def test_check_unknown_name_exits_two(capsys, tmp_path):
     assert "bogus" in err
 
 
-def test_check_json_golden_bytes(capsys, tmp_path, monkeypatch):
+_CHECK_BYTES = (
+    '{\n'
+    '  "instance": "t.fct",\n'
+    '  "checks": [\n'
+    '    {\n'
+    '      "id": "pure",\n'
+    '      "holds": true,\n'
+    '      "witness": null\n'
+    '    }\n'
+    '  ]\n'
+    '}\n'
+)
+_VERIFY_BYTES = (
+    '{\n'
+    '  "instance": "t.fct",\n'
+    '  "checks": [\n'
+    '    {\n'
+    '      "id": "lemma-2.4",\n'
+    '      "holds": true,\n'
+    '      "witness": null\n'
+    '    },\n'
+    '    {\n'
+    '      "id": "lemma-2.8",\n'
+    '      "holds": false,\n'
+    '      "witness": {\n'
+    '        "hypothesis_error": "path lemma needs f0 > 7, instance has f0 = 7"\n'
+    '      }\n'
+    '    }\n'
+    '  ]\n'
+    '}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "x, argv, want_code, want",
+    [
+        (helpers.simplex(2), ["check", "t.fct", "--checks", "pure"], 0, _CHECK_BYTES),
+        (kuehnel_solid(2), ["verify", "t.fct", "--lemmas", "2.4,2.8"], 1, _VERIFY_BYTES),
+    ],
+    ids=["check", "verify"],
+)
+def test_check_json_golden_bytes(capsys, tmp_path, monkeypatch, x, argv, want_code, want):
     monkeypatch.chdir(tmp_path)
-    fct.write_fct(helpers.simplex(2), "t.fct")
-    code, out, _ = run(capsys, "check", "t.fct", "--checks", "pure")
-    assert code == 0
-    assert out == (
-        '{\n'
-        '  "instance": "t.fct",\n'
-        '  "checks": [\n'
-        '    {\n'
-        '      "id": "pure",\n'
-        '      "holds": true,\n'
-        '      "witness": null\n'
-        '    }\n'
-        '  ]\n'
-        '}\n'
-    )
+    fct.write_fct(x, "t.fct")
+    code, out, _ = run(capsys, *argv)
+    assert code == want_code
+    assert out == want
 
 
 def test_check_reads_stdin(capsys, monkeypatch):
@@ -221,12 +251,36 @@ def test_verify_reports_hypothesis_failures(capsys, tmp_path):
     assert "hypothesis_error" in checks["lemma-2.8"]["witness"]
 
 
-def test_verify_unknown_lemma_exits_two(capsys, tmp_path):
+def test_verify_unknown_lemma_exits_two(capsys, tmp_path, monkeypatch):
+    from trimanifold import analysis
+
     path = tmp_path / "solid.fct"
+    dot = tmp_path / "dual.dot"
     fct.write_fct(kuehnel_solid(2), path)
-    code, _, err = run(capsys, "verify", str(path), "--lemmas", "9.1")
+    calls = []
+    real = analysis.verify_lemma
+    monkeypatch.setattr(analysis, "verify_lemma",
+                        lambda m, lid: calls.append(lid) or real(m, lid))
+    code, out, err = run(capsys, "verify", str(path), "--lemmas", "2.4,9.1",
+                         "--dot", str(dot))
+    # the ids are checked before any lemma runs or any file is written
     assert code == 2
-    assert "unknown lemma" in err
+    assert out == "" and "unknown lemma" in err
+    assert not dot.exists()
+    assert calls == []
+
+
+@pytest.mark.parametrize("command, option", [("check", "--checks"), ("verify", "--lemmas")])
+@pytest.mark.parametrize("ids", [",", " , ,", ""])
+def test_an_empty_id_list_exits_two(capsys, tmp_path, command, option, ids):
+    # a report of no checks would pass vacuously
+    path = tmp_path / "solid.fct"
+    dot = tmp_path / "dual.dot"
+    fct.write_fct(kuehnel_solid(2), path)
+    code, out, err = run(capsys, command, str(path), option, ids, "--dot", str(dot))
+    assert code == 2
+    assert out == "" and option in err
+    assert not dot.exists()
 
 
 def test_dot_file_written(capsys, tmp_path):
@@ -296,13 +350,15 @@ def test_handle_pipeline(capsys, tmp_path):
 def test_handle_rejects_malformed_psi(capsys, tmp_path):
     sphere = tmp_path / "sphere.fct"
     fct.write_fct(boundary_complex(helpers.path_ball(5, 11)), sphere)
-    code, _, err = run(
-        capsys, "handle", str(sphere),
-        "--sigma1", "0,1,2,3,4", "--sigma2", "11,12,13,14,15",
-        "--psi", "0-11",
-    )
-    assert code == 2
-    assert "input error" in err
+    # a pair without ':', and a source mapped twice
+    for psi, named in (("0-11", "'0-11'"), ("0:12,0:11,1:12,2:13,3:14,4:15", "vertex 0")):
+        code, out, err = run(
+            capsys, "handle", str(sphere),
+            "--sigma1", "0,1,2,3,4", "--sigma2", "11,12,13,14,15",
+            "--psi", psi,
+        )
+        assert code == 2, psi
+        assert out == "" and "input error" in err and named in err, psi
 
 
 @pytest.mark.parametrize(
