@@ -16,12 +16,16 @@ writes the cache.  It wraps these builders:
   links are closed, so that no closed link builds one of its own;
 - :func:`.dualgraph.dual_graph`, the facet graph, from the ridge index;
 - :func:`.walkup.class_membership`, the Walkup class report, whose
-  ``peek(x)`` returns the stored report, or None, without building it.
+  ``peek(x)`` returns the stored report, or None, without building it,
+  and whose ``store(x, report)`` records the report that a generator's
+  construction proves, so that no class test runs for it.
 
 Face sets (:func:`faces_of_dim`) are built afresh on every call, so that
 counting faces does not keep every level alive.  :func:`f_vector` takes
 the counts of a complex whose links are all stacked spheres or all
-stacked balls from f_0 and f_1 instead (:func:`.walkup._stacked_link_counts`).
+stacked balls from f_0 and f_1 instead (:func:`.walkup._stacked_link_counts`),
+among them every complex of dimension >= 3 that the generators of
+:mod:`.walkup` build.
 
 This module is the only one that finds the facets at a vertex or across a
 ridge, or the neighbours of a vertex; every other module reads the three
@@ -70,7 +74,10 @@ def _memoised(build):
     """Memoise ``build(x)`` on the complex ``x`` under ``build.__name__``,
     the only code that reads or writes ``_face_cache``.  Nothing is stored
     when ``build`` raises, so a precondition error is raised on every call.
-    ``memo.peek(x)`` returns the stored value, or None, without building."""
+    ``memo.peek(x)`` returns the stored value, or None, without building;
+    ``memo.store(x, value)`` stores a value known without building, as the
+    generators of :mod:`.walkup` do for their class report, and keeps a
+    value already stored."""
     key = build.__name__
 
     @functools.wraps(build)
@@ -81,6 +88,7 @@ def _memoised(build):
         return cache[key]
 
     memo.peek = lambda x: x._face_cache.get(key)
+    memo.store = lambda x, value: x._face_cache.setdefault(key, value)
     return memo
 
 
@@ -228,7 +236,10 @@ def faces_of_dim(x: SimplicialComplex, k: int) -> frozenset:
 def f_vector(x: SimplicialComplex) -> FVector:
     """Face counts (f_0, ..., f_d) and their alternating sum.
 
-    Counts come from :func:`.walkup._stacked_link_counts` when it answers.
+    Counts come from :func:`.walkup._stacked_link_counts` when it answers,
+    which it does without a class test for every complex of dimension >= 3
+    built by the generators of :mod:`.walkup` (Kuehnel solids and tori,
+    stacked balls), as they store the class report they prove.
     Otherwise f_0 is the vertex count and f_d the number of facets of size
     d + 1, as every face of top dimension is a facet; only the levels in
     between are enumerated.

@@ -11,6 +11,7 @@ along so callers can translate ids back to vertex sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .complexes import (
     Face,
@@ -89,10 +90,9 @@ def dual_graph(x: SimplicialComplex) -> DualGraph:
         raise PreconditionError("dual graph requires a pure complex")
     nbrs: list[list[int]] = [[] for _ in x.facets]
     for ids in _ridge_incidence(x).values():
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                nbrs[ids[a]].append(ids[b])
-                nbrs[ids[b]].append(ids[a])
+        for a, b in combinations(ids, 2):
+            nbrs[a].append(b)
+            nbrs[b].append(a)
     return DualGraph(x.facets, tuple(tuple(sorted(n)) for n in nbrs))
 
 

@@ -99,7 +99,7 @@ def _label(token: str) -> int | None:
 
 def dumps(x: SimplicialComplex) -> str:
     """Canonical text form, one facet per line."""
-    return "".join(" ".join(str(v) for v in f) + "\n" for f in x.facets)
+    return "".join(" ".join(map(str, f)) + "\n" for f in x.facets)
 
 
 def read_fct(source: str | os.PathLike | TextIO) -> SimplicialComplex:

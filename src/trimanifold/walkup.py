@@ -240,8 +240,10 @@ def class_membership(m: SimplicialComplex) -> ClassReport:
 
 
 # bound once, so that code which rebinds class_membership with a plain
-# wrapper (a tracer, a mock) does not hide the memoised report
+# wrapper (a tracer, a mock) neither hides the memoised report nor breaks
+# the generators, which store the report their construction proves
 _memoised_report = class_membership.peek
+_store_report = class_membership.store
 
 # from this dimension up the class test costs less than counting faces.
 # Measured (Python 3.11, 2-vCPU host, fastest of 25 fresh complexes): on
@@ -507,19 +509,32 @@ def kuehnel_solid(d: int) -> SimplicialComplex:
     """Cyclic (d+1)-dimensional solid on 2d+3 vertices.
 
     Facets are the 2d+3 windows of d+2 consecutive labels modulo 2d+3;
-    the facet graph is one cycle.
+    the facet graph is one cycle.  The class report is stored, not tested.
+    A vertex lies in d+2 windows in a row, so its link is a path of facets,
+    each coning a fresh vertex over a ridge of the last: a stacked d-ball.
+    It has a boundary, so it is no sphere, and vertex 0 fails class K first.
     """
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
     n = 2 * d + 3
-    return _from_canonical(
+    x = _from_canonical(
         {tuple(sorted((i + k) % n for k in range(d + 2))) for i in range(n)}
     )
+    _store_report(x, ClassReport(False, True, 0))
+    return x
 
 
 def kuehnel_torus(d: int) -> SimplicialComplex:
-    """Boundary of :func:`kuehnel_solid`: a closed d-manifold on 2d+3 vertices."""
-    return boundary_complex(kuehnel_solid(d))
+    """Boundary of :func:`kuehnel_solid`: a closed d-manifold on 2d+3 vertices.
+
+    The class report is stored, not tested.  Every vertex lies on the
+    boundary of the solid, so its link here is the boundary of its link
+    there, a stacked sphere; a closed link of dimension d-1 >= 1 is no
+    ball, so vertex 0 fails class K-bar first.
+    """
+    x = boundary_complex(kuehnel_solid(d))
+    _store_report(x, ClassReport(True, False, 0))
+    return x
 
 
 def random_stacked_ball(d: int, m: int, seed: int = 0) -> SimplicialComplex:
@@ -530,6 +545,13 @@ def random_stacked_ball(d: int, m: int, seed: int = 0) -> SimplicialComplex:
     a pure function of (d, m, seed).  Ridge choice indexes the sorted
     boundary-ridge list with the next stream word reduced modulo the list
     length.
+
+    For d >= 2 the class report is stored, not tested.  Gluing a fresh
+    vertex on a boundary ridge tau cones it over the boundary ridge tau - u
+    of each link lk u, u in tau, and gives it a simplex as link, so every
+    link stays a stacked ball.  A link of dimension d-1 >= 1 with a
+    boundary is no sphere, so vertex 0, which always exists, fails class K
+    first.  At d = 1 the two-point links of inner vertices are spheres.
     """
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
@@ -551,4 +573,7 @@ def random_stacked_ball(d: int, m: int, seed: int = 0) -> SimplicialComplex:
         for drop in tau:
             bisect.insort(ridges, tuple(u for u in tau if u != drop) + (fresh,))
         fresh += 1
-    return _from_canonical(set(facets))
+    x = _from_canonical(set(facets))
+    if d >= 2:
+        _store_report(x, ClassReport(False, True, 0))
+    return x

@@ -8,13 +8,14 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
 import trimanifold
-from trimanifold import fct
+from trimanifold import fct, walkup
 from trimanifold.analysis import LEMMA_IDS, VertexBijection
 from trimanifold.cli import CHECK_NAMES, build_parser, main
 from trimanifold.complexes import boundary_complex, from_facets, relabel_vertices
@@ -56,6 +57,40 @@ def test_gen_stacked_ball_is_seed_stable(capsys, tmp_path):
     assert run(capsys, "gen", "stacked-ball", "--d", "3", "--m", "9",
                "--seed", "4", "-o", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("kuehnel-torus", "--d", "11"),
+     "dim 11 f-vector 25 300 1650 5500 12375 19800 23100 19800 12375 5500 1650 275"
+     " euler 0"),
+    (("stacked-ball", "--d", "4", "--m", "300"),
+     "dim 4 f-vector 304 1206 1804 1201 300 euler 1"),
+])
+def test_gen_summary_of_a_complex_with_a_stored_class_report(capsys, tmp_path, argv, line):
+    code, out, err = run(capsys, "gen", *argv, "-o", str(tmp_path / "x.fct"))
+    assert (code, out, err) == (0, line + "\n", "")
+
+
+def test_gen_survives_a_class_test_rebound_to_a_plain_wrapper(capsys):
+    # a tracer or a mock that rebinds class_membership drops its attributes
+    original = walkup.class_membership
+
+    def traced(m):
+        return original(m)
+
+    jobs = [("kuehnel-solid", "--d", "9"), ("kuehnel-torus", "--d", "9"),
+            ("stacked-ball", "--d", "4", "--m", "300")]
+    plain = [run(capsys, "gen", *argv) for argv in jobs]
+    with mock.patch.object(walkup, "class_membership", traced):
+        made = [walkup.kuehnel_solid(9), walkup.kuehnel_torus(9),
+                walkup.random_stacked_ball(4, 300)]
+        rebound = [run(capsys, "gen", *argv) for argv in jobs]
+    assert rebound == plain and all(code == 0 for code, _, _ in plain)
+    assert [original.peek(x) for x in made] == [
+        walkup.ClassReport(False, True, 0),
+        walkup.ClassReport(True, False, 0),
+        walkup.ClassReport(False, True, 0),
+    ]
 
 
 def test_check_reports_and_exit_zero(capsys, tmp_path):

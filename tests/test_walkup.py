@@ -12,6 +12,7 @@ import helpers
 from trimanifold import fct, homology, walkup
 from trimanifold.complexes import (
     EMPTY,
+    SimplicialComplex,
     boundary_complex,
     f_vector,
     faces_of_dim,
@@ -23,6 +24,7 @@ from trimanifold.complexes import (
 from trimanifold.errors import InadmissibleHandleError, PreconditionError
 from trimanifold.homology import betti_z2
 from trimanifold.walkup import (
+    ClassReport,
     HandleMap,
     _splitmix64,
     bar_construction,
@@ -269,7 +271,8 @@ def test_class_membership_against_every_link_on_its_own_on_families(make):
 
 
 @pytest.mark.parametrize("make", [
-    pytest.param(lambda: kuehnel_torus(5), id="torus-5"),
+    # a copy, as the generator stores the class report it proves
+    pytest.param(lambda: SimplicialComplex(kuehnel_torus(5).facets), id="torus-5"),
     pytest.param(lambda: helpers.handle_body(3, 2, 40), id="handles-3-2"),
 ])
 def test_class_membership_reads_closed_links_from_the_ambient_ridge_index(make):
@@ -291,6 +294,35 @@ def test_class_membership_reads_closed_links_from_the_ambient_ridge_index(make):
     # one index, the ambient one, read once and kept
     assert ridges.call_count == 1 and ridges.call_args.args[0] is x
     assert "_ridge_incidence" in x._face_cache
+
+
+def _generated_instances():
+    items = []
+    for d in range(2, 15):
+        items += [pytest.param(kuehnel_solid, (d,), id=f"solid-{d}"),
+                  pytest.param(kuehnel_torus, (d,), id=f"torus-{d}")]
+    for d, m, seed in product(range(2, 7), (1, 2, 3, 30, 200), (0, 1, 7)):
+        items.append(pytest.param(random_stacked_ball, (d, m, seed),
+                                  id=f"ball-{d}-{m}-{seed}"))
+    return items
+
+
+@pytest.mark.parametrize("make, args", _generated_instances())
+def test_generators_store_the_class_report_of_their_links(make, args):
+    x = make(*args)
+    stored = class_membership.peek(x)
+    copy = SimplicialComplex(x.facets)  # no stored report: the class test runs
+    by_links = helpers.link_by_definition if x.num_vertices <= 13 else link
+    assert stored == helpers.class_membership_by_links(copy, by_links) == class_membership(copy)
+    assert f_vector(x).counts == tuple(len(faces_of_dim(x, k)) for k in range(x.dim + 1))
+
+
+def test_one_dimensional_stacked_balls_store_no_report():
+    # the path 3-0-1-2: the inner vertices 0 and 1 have two-point links,
+    # stacked 0-spheres, so vertex 2 is the first to fail class K
+    x = random_stacked_ball(1, 3)
+    assert class_membership.peek(x) is None
+    assert class_membership(x) == ClassReport(False, True, 2)
 
 
 def _closed(d, k):
@@ -329,7 +361,7 @@ def test_stacked_link_counts_against_enumeration_and_full_matrices(make, want):
 
 
 def test_stacked_link_counts_below_the_gate_need_a_memoised_report():
-    x = kuehnel_torus(8)
+    x = SimplicialComplex(kuehnel_torus(8).facets)  # no stored report
     assert walkup._stacked_link_counts(x) is None
     assert class_membership.peek(x) is None
     class_membership(x)
