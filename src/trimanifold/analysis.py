@@ -208,11 +208,9 @@ def _require_neighborly_kbar(m: SimplicialComplex):
         raise LemmaHypothesisError("input must be a non-empty pure complex")
     if not is_neighborly(m):
         raise LemmaHypothesisError("input must be 2-neighborly")
-    report = class_membership(m)
-    if not report.in_class_kbar:
-        raise LemmaHypothesisError(
-            f"vertex link at {report.failing_vertex} is not a stacked ball"
-        )
+    fail = class_membership(m).kbar_fail
+    if fail is not None:
+        raise LemmaHypothesisError(f"vertex link at {fail} is not a stacked ball")
     g = dual_graph(m)
     if g.num_nodes < 2:
         raise LemmaHypothesisError("single-facet ball is out of scope")

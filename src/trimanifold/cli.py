@@ -63,8 +63,8 @@ def _emit_json(payload: dict) -> None:
 
 def _class_verdict(x: SimplicialComplex, kbar: bool) -> tuple:
     report = walkup.class_membership(x)
-    holds = report.in_class_kbar if kbar else report.in_class_k
-    return holds, None if holds else {"failing_vertex": report.failing_vertex}
+    fail = report.kbar_fail if kbar else report.k_fail
+    return fail is None, None if fail is None else {"failing_vertex": fail}
 
 
 def _tight_verdict(x: SimplicialComplex) -> tuple:

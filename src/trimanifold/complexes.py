@@ -13,8 +13,10 @@ writes the cache.  It wraps these builders:
   handle addition;
 - :func:`_ridge_incidence`, codimension-one face -> ids of its facets,
   from which :func:`.walkup.class_membership` also reads which vertex
-  links are closed, so that no closed link builds one of its own;
+  links are closed, so that no link builds one of its own;
 - :func:`.dualgraph.dual_graph`, the facet graph, from the ridge index;
+  its star at a vertex v is the facet graph of lk v, and the class test
+  reads every link's facet graph as such a star;
 - :func:`.walkup.class_membership`, the Walkup class report, whose
   ``peek(x)`` returns the stored report, or None, without building it,
   and whose ``store(x, report)`` records the report that a generator's

@@ -45,7 +45,7 @@ from .complexes import (
     is_weak_pseudomanifold,
     link,
 )
-from .dualgraph import dual_graph, is_tree
+from .dualgraph import dual_graph, is_tree, vertex_facet_subgraph
 from .errors import InadmissibleHandleError, PreconditionError
 
 __all__ = [
@@ -75,11 +75,13 @@ def _splitmix64(state: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ClassReport:
-    """Outcome of the vertex-link classification of a pure d-complex."""
+    """Outcome of the vertex-link classification of a pure d-complex: the
+    first vertex whose link is no stacked sphere (``k_fail``) and the
+    first whose link is no stacked ball (``kbar_fail``).  None means that
+    every link is one, so the complex is in class K or K-bar."""
 
-    in_class_k: bool
-    in_class_kbar: bool
-    failing_vertex: int | None
+    k_fail: int | None
+    kbar_fail: int | None
 
 
 @dataclass(frozen=True)
@@ -196,21 +198,26 @@ def _peels_to_simplex_boundary(s: SimplicialComplex) -> bool:
 def class_membership(m: SimplicialComplex) -> ClassReport:
     """Classify a pure complex by the shape of its vertex links.
 
-    Membership in the closed class needs every vertex link to be a
-    stacked sphere; membership in the bounded class needs every link to
-    be a stacked ball.  ``failing_vertex`` names the first vertex that
-    ruled out a class, sphere failures taking precedence.
+    Class K needs every vertex link to be a stacked sphere, class K-bar
+    every link to be a stacked ball.  Each class is decided by its own
+    scan over the vertices in order, which stops at its first failure, and
+    both read the ridge index and the facet graph of ``m``, never those of
+    a link.
 
-    The links are taken one per vertex, in vertex order, and the closed
-    ones index no ridges of their own.  A ridge of lk v is a ridge of ``m`` through v
-    with v removed, and it lies in the facets of that ridge, less v.  So
-    lk v is a pure closed weak pseudomanifold exactly when every ridge of
-    ``m`` through v lies in two facets, which one pass over the memoised
-    ridge index of ``m`` decides for every vertex at once.  Such a link is
-    peeled at once; every other link is no stacked sphere.  The ball test
-    builds no facet graph for a closed link of dimension D >= 1 either:
-    each of its f_0 vertices lies in at least D + 1 of its f facets, so
-    f >= f_0 and the vertex count f_0 = f + D already fails.
+    A ridge of lk v is a ridge of ``m`` through v with v removed, and it
+    lies in the facets of that ridge, less v.  So lk v is a pure closed
+    weak pseudomanifold exactly when every ridge of ``m`` through v lies
+    in two facets, which one pass over the memoised ridge index of ``m``
+    decides for every vertex at once.  Such a link is peeled; every other
+    link is no stacked sphere.
+
+    Two facets sigma - v and tau - v of lk v share a ridge exactly when
+    sigma and tau share one: both hold v, so sigma - v and tau - v meet in
+    d - 1 vertices exactly when sigma and tau meet in d.  So the facet
+    graph of lk v is the star of v in the facet graph of ``m``, and lk v,
+    pure of dimension d - 1 with deg v vertices and |star v| facets, is a
+    stacked ball exactly when d >= 1, deg v = |star v| + d - 1 and that
+    star is a tree.
 
     The report is memoised on the complex, so the checks and lemmas that
     all ask for it classify the links once; a precondition error is
@@ -222,21 +229,17 @@ def class_membership(m: SimplicialComplex) -> ClassReport:
         v for ridge, ids in _ridge_incidence(m).items() if len(ids) != 2
         for v in ridge
     }
-    k_fail: int | None = None
-    kbar_fail: int | None = None
-    for v in m.vertices:
-        lk = link(m, (v,))
-        sphere_ok = v not in open_at and _peels_to_simplex_boundary(lk)
-        ball_ok = is_stacked_ball(lk)
-        if not sphere_ok and k_fail is None:
-            k_fail = v
-        if not ball_ok and kbar_fail is None:
-            kbar_fail = v
-    return ClassReport(
-        k_fail is None,
-        kbar_fail is None,
-        kbar_fail if k_fail is None else k_fail,
-    )
+    k_fail = next((
+        v for v in m.vertices
+        if v in open_at or not _peels_to_simplex_boundary(link(m, (v,)))
+    ), None)
+    d, facets = m.dim, m.facets
+    kbar_fail = next((
+        v for v, ids in _vertex_facets(m).items()
+        if d < 1 or len(set().union(*(facets[i] for i in ids))) != len(ids) + d
+        or not is_tree(vertex_facet_subgraph(m, v))
+    ), None)
+    return ClassReport(k_fail, kbar_fail)
 
 
 # bound once, so that code which rebinds class_membership with a plain
@@ -256,8 +259,9 @@ _ROUTE_MIN_DIM = 9
 
 
 def _stacked_link_counts(m: SimplicialComplex, test: bool = True):
-    """``(in_class_k, (f_0, ..., f_d))`` from f_0 and f_1 when ``m`` has
-    dimension d >= 3 and its class report says K or K-bar; else None.
+    """``(sphere, (f_0, ..., f_d))`` from f_0 and f_1 when ``m`` has
+    dimension d >= 3 and its class report finds no failing vertex for K
+    (then ``sphere`` is True) or for K-bar; else None.
 
     A memoised report is read with ``class_membership.peek``; without
     one, the class test runs only if ``test`` is true, d >= _ROUTE_MIN_DIM
@@ -280,8 +284,8 @@ def _stacked_link_counts(m: SimplicialComplex, test: bool = True):
         if not test or d < _ROUTE_MIN_DIM or not is_pure(m):
             return None
         report = class_membership(m)
-    sphere = report.in_class_k
-    if not (sphere or report.in_class_kbar):
+    sphere = report.k_fail is None
+    if not (sphere or report.kbar_fail is None):
         return None
     nbr = _neighbours(m)
     f0 = len(nbr)
@@ -520,7 +524,7 @@ def kuehnel_solid(d: int) -> SimplicialComplex:
     x = _from_canonical(
         {tuple(sorted((i + k) % n for k in range(d + 2))) for i in range(n)}
     )
-    _store_report(x, ClassReport(False, True, 0))
+    _store_report(x, ClassReport(0, None))
     return x
 
 
@@ -533,7 +537,7 @@ def kuehnel_torus(d: int) -> SimplicialComplex:
     ball, so vertex 0 fails class K-bar first.
     """
     x = boundary_complex(kuehnel_solid(d))
-    _store_report(x, ClassReport(True, False, 0))
+    _store_report(x, ClassReport(None, 0))
     return x
 
 
@@ -575,5 +579,5 @@ def random_stacked_ball(d: int, m: int, seed: int = 0) -> SimplicialComplex:
         fresh += 1
     x = _from_canonical(set(facets))
     if d >= 2:
-        _store_report(x, ClassReport(False, True, 0))
+        _store_report(x, ClassReport(0, None))
     return x

@@ -40,7 +40,6 @@ from trimanifold.dualgraph import DualGraph, components_minus, is_connected
 from trimanifold.errors import (
     EmptyComplexError,
     FctFormatError,
-    InadmissibleHandleError,
     PreconditionError,
     TriManifoldError,
 )
@@ -258,11 +257,7 @@ def class_membership_by_links(m: SimplicialComplex, link=link_by_definition) -> 
             k_fail = v
         if not ball_ok and kbar_fail is None:
             kbar_fail = v
-    return ClassReport(
-        k_fail is None,
-        kbar_fail is None,
-        kbar_fail if k_fail is None else k_fail,
-    )
+    return ClassReport(k_fail, kbar_fail)
 
 
 def rank_gf2_dense(rows) -> int:
@@ -437,9 +432,8 @@ def handle_body(d: int, k: int, m: int) -> SimplicialComplex:
 
     The 2k matched facets sit at evenly spaced positions of the path, so
     with m large enough each sigma1 and its sigma2 lie in far-apart label
-    ranges.  The first bijection, in permutation order, that
-    ``handle_addition`` accepts is used; that search is (d + 1)!, so keep
-    d <= 5.
+    ranges, and each sigma1 is glued to its sigma2 in sorted order,
+    sigma1[i] to sigma2[i].
     """
     x = boundary_complex(path_ball(d + 1, m))
     # the boundary facet of path facet {p, ..., p + d + 1} that misses p + 1
@@ -448,16 +442,7 @@ def handle_body(d: int, k: int, m: int) -> SimplicialComplex:
         for p in (1 + t * (m - 3) // (2 * k - 1) for t in range(2 * k))
     ]
     for sigma1, sigma2 in zip(sigmas[0::2], sigmas[1::2]):
-        for image in permutations(sigma2):
-            try:
-                x = handle_addition(
-                    x, HandleMap.create(sigma1, sigma2, dict(zip(sigma1, image)))
-                )
-                break
-            except InadmissibleHandleError:
-                continue
-        else:
-            raise ValueError(f"no admissible handle from {sigma1} to {sigma2}")
+        x = handle_addition(x, HandleMap.create(sigma1, sigma2, dict(zip(sigma1, sigma2))))
     return x
 
 

@@ -87,9 +87,9 @@ def test_gen_survives_a_class_test_rebound_to_a_plain_wrapper(capsys):
         rebound = [run(capsys, "gen", *argv) for argv in jobs]
     assert rebound == plain and all(code == 0 for code, _, _ in plain)
     assert [original.peek(x) for x in made] == [
-        walkup.ClassReport(False, True, 0),
-        walkup.ClassReport(True, False, 0),
-        walkup.ClassReport(False, True, 0),
+        walkup.ClassReport(0, None),
+        walkup.ClassReport(None, 0),
+        walkup.ClassReport(0, None),
     ]
 
 
@@ -199,14 +199,63 @@ _VERIFY_BYTES = (
     '}\n'
 )
 
+# neighborly on five vertices; lk 0 is the path 3-2-1-4, a stacked ball but
+# no sphere, and lk 1 is a triangle with a pendant edge, neither
+FIVE_VERTICES = from_facets([(0, 1, 2), (0, 1, 4), (0, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
+# the cone over a hexagon: lk 6 is a circle, every other link a path
+HEXAGON_CONE = from_facets([(i, (i + 1) % 6, 6) for i in range(6)])
+_CLASS_BYTES = (
+    '{\n'
+    '  "instance": "t.fct",\n'
+    '  "checks": [\n'
+    '    {\n'
+    '      "id": "class-k",\n'
+    '      "holds": false,\n'
+    '      "witness": {\n'
+    '        "failing_vertex": 0\n'
+    '      }\n'
+    '    },\n'
+    '    {\n'
+    '      "id": "class-kbar",\n'
+    '      "holds": false,\n'
+    '      "witness": {\n'
+    '        "failing_vertex": 1\n'
+    '      }\n'
+    '    }\n'
+    '  ]\n'
+    '}\n'
+)
+_CONE_BYTES = _CLASS_BYTES.replace('"failing_vertex": 1', '"failing_vertex": 6')
+_HYPOTHESIS_BYTES = (
+    '{\n'
+    '  "instance": "t.fct",\n'
+    '  "checks": [\n'
+    '    {\n'
+    '      "id": "lemma-2.4",\n'
+    '      "holds": false,\n'
+    '      "witness": {\n'
+    '        "hypothesis_error": "vertex link at 1 is not a stacked ball"\n'
+    '      }\n'
+    '    }\n'
+    '  ]\n'
+    '}\n'
+)
+
 
 @pytest.mark.parametrize(
     "x, argv, want_code, want",
     [
         (helpers.simplex(2), ["check", "t.fct", "--checks", "pure"], 0, _CHECK_BYTES),
         (kuehnel_solid(2), ["verify", "t.fct", "--lemmas", "2.4,2.8"], 1, _VERIFY_BYTES),
+        # each class names its own first failing vertex
+        (FIVE_VERTICES, ["check", "t.fct", "--checks", "class-k,class-kbar"], 1,
+         _CLASS_BYTES),
+        (HEXAGON_CONE, ["check", "t.fct", "--checks", "class-k,class-kbar"], 1,
+         _CONE_BYTES),
+        (FIVE_VERTICES, ["verify", "t.fct", "--lemmas", "2.4"], 1, _HYPOTHESIS_BYTES),
     ],
-    ids=["check", "verify"],
+    ids=["check", "verify", "check-class-witnesses", "check-cone-witnesses",
+         "verify-class-witness"],
 )
 def test_check_json_golden_bytes(capsys, tmp_path, monkeypatch, x, argv, want_code, want):
     monkeypatch.chdir(tmp_path)
@@ -438,21 +487,24 @@ def test_json_output_is_deterministic(capsys, tmp_path):
     assert first == second
 
 
-@pytest.mark.parametrize("make", [kuehnel_torus, kuehnel_solid])
-def test_check_runs_class_membership_once(capsys, tmp_path, monkeypatch, make):
-    import trimanifold.walkup as walkup
-
+# the per-vertex call of the one class scan that passes: the torus peels
+# every link, the solid reads every link's facet graph as a star
+@pytest.mark.parametrize("make, counted", [
+    pytest.param(kuehnel_torus, "link", id="kuehnel_torus"),
+    pytest.param(kuehnel_solid, "vertex_facet_subgraph", id="kuehnel_solid"),
+])
+def test_check_runs_class_membership_once(capsys, tmp_path, monkeypatch, make, counted):
     path = tmp_path / "x.fct"
     fct.write_fct(make(3), path)
     alone = [
         json.loads(run(capsys, "check", str(path), "--checks", name)[1])["checks"][0]
         for name in ("class-k", "class-kbar")
     ]
-    # class_membership takes one link per vertex, so f0 link calls mean
-    # the two checks classified the links once
+    # one class test makes one such call per vertex, so f0 calls mean the
+    # two checks classified the links once
     calls = []
-    real = walkup.link
-    monkeypatch.setattr(walkup, "link", lambda m, a: calls.append(a) or real(m, a))
+    real = getattr(walkup, counted)
+    monkeypatch.setattr(walkup, counted, lambda m, a: calls.append(a) or real(m, a))
     code, out, _ = run(capsys, "check", str(path), "--checks", "class-k,class-kbar")
     assert len(calls) == make(3).num_vertices
     assert code == 1
@@ -460,14 +512,14 @@ def test_check_runs_class_membership_once(capsys, tmp_path, monkeypatch, make):
 
 
 def test_verify_runs_class_membership_once(capsys, tmp_path, monkeypatch):
-    import trimanifold.walkup as walkup
-
     solid = kuehnel_solid(4)
     path = tmp_path / "solid.fct"
     fct.write_fct(solid, path)
+    # the class-K-bar scan reads one star per vertex of the solid
     calls = []
-    real = walkup.link
-    monkeypatch.setattr(walkup, "link", lambda m, a: calls.append(a) or real(m, a))
+    real = walkup.vertex_facet_subgraph
+    monkeypatch.setattr(walkup, "vertex_facet_subgraph",
+                        lambda m, v: calls.append(v) or real(m, v))
     code, out, _ = run(capsys, "verify", str(path), "--lemmas", "2.2,2.3,2.4,2.5")
     # every lemma re-checks its hypothesis; the class report is computed once
     assert len(calls) == solid.num_vertices

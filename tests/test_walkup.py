@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import helpers
-from trimanifold import fct, homology, walkup
+from trimanifold import dualgraph, fct, homology, walkup
 from trimanifold.complexes import (
     EMPTY,
     SimplicialComplex,
@@ -186,20 +186,18 @@ def test_stacked_sphere_needs_a_weak_pseudomanifold(x):
 def test_class_membership_of_cyclic_complexes():
     for d in (2, 3, 4):
         solid = class_membership(kuehnel_solid(d))
-        assert solid.in_class_kbar and not solid.in_class_k
+        assert solid.kbar_fail is None and solid.k_fail is not None
         torus = class_membership(kuehnel_torus(d))
-        assert torus.in_class_k and not torus.in_class_kbar
-        assert torus.failing_vertex is not None
+        assert torus.k_fail is None and torus.kbar_fail is not None
     # every link of a polygon is two points, a stacked 0-sphere and 0-ball
     hexagon = from_facets([(i, (i + 1) % 6) for i in range(6)])
-    assert class_membership(hexagon) == walkup.ClassReport(True, True, None)
+    assert class_membership(hexagon) == walkup.ClassReport(None, None)
 
 
 def test_class_membership_reports_first_failure():
     # every link of the solid is a ball, so the sphere test fails at vertex 0
     report = class_membership(kuehnel_solid(3))
-    assert report.in_class_kbar
-    assert report.failing_vertex == 0
+    assert report == ClassReport(0, None)
 
 
 def test_class_membership_is_memoised_but_errors_are_not():
@@ -235,18 +233,24 @@ def _class_report_instances():
     definition while a complex is small, the package's own otherwise (it
     is checked against the definition in test_complexes)."""
     items = [(name, lambda x=x: x) for name, x in helpers.corpus()]
+    # fresh copies: the generators store the report their construction
+    # proves, and the class test is what is compared here
     for d in range(2, 10):
-        items += [(f"torus-{d}", lambda d=d: kuehnel_torus(d)),
-                  (f"solid-{d}", lambda d=d: kuehnel_solid(d))]
+        items += [(f"torus-{d}", lambda d=d: SimplicialComplex(kuehnel_torus(d).facets)),
+                  (f"solid-{d}", lambda d=d: SimplicialComplex(kuehnel_solid(d).facets))]
     for d in range(1, 6):
         for seed in (0, 1):
             items += [
-                (f"ball-{d}-{seed}", lambda d=d, seed=seed: random_stacked_ball(d, 30, seed)),
+                (f"ball-{d}-{seed}",
+                 lambda d=d, seed=seed: SimplicialComplex(random_stacked_ball(d, 30, seed).facets)),
                 (f"sphere-{d}-{seed}",
                  lambda d=d, seed=seed: boundary_complex(random_stacked_ball(d, 30, seed))),
             ]
-    for d, k in ((3, 1), (3, 2), (4, 2)):
-        items.append((f"handles-{d}-{k}", lambda d=d, k=k: helpers.handle_body(d, k, 40)))
+    for d, k, m in ((3, 1, 40), (3, 2, 40), (4, 2, 40), (6, 2, 60), (8, 3, 120)):
+        items.append((f"handles-{d}-{k}", lambda d=d, k=k, m=m: helpers.handle_body(d, k, m)))
+    # a solid in class K-bar whose facet graph has cycles
+    items.append(("bar-of-handles-4-2",
+                  lambda: bar_construction(helpers.handle_body(4, 2, 50))))
     for n in (3, 4, 6, 9):
         items.append((f"polygon-{n}",
                       lambda n=n: from_facets([(i, (i + 1) % n) for i in range(n)])))
@@ -270,12 +274,15 @@ def test_class_membership_against_every_link_on_its_own_on_families(make):
     _same_class_report(x, helpers.link_by_definition if x.num_vertices <= 13 else link)
 
 
-@pytest.mark.parametrize("make", [
-    # a copy, as the generator stores the class report it proves
-    pytest.param(lambda: SimplicialComplex(kuehnel_torus(5).facets), id="torus-5"),
-    pytest.param(lambda: helpers.handle_body(3, 2, 40), id="handles-3-2"),
+@pytest.mark.parametrize("make, closed", [
+    # copies, as the generators store the class report they prove
+    pytest.param(lambda: SimplicialComplex(kuehnel_torus(5).facets), True, id="torus-5"),
+    pytest.param(lambda: helpers.handle_body(3, 2, 40), True, id="handles-3-2"),
+    pytest.param(lambda: SimplicialComplex(kuehnel_solid(5).facets), False, id="solid-5"),
+    pytest.param(lambda: SimplicialComplex(random_stacked_ball(4, 200).facets), False,
+                 id="ball-4-200"),
 ])
-def test_class_membership_reads_closed_links_from_the_ambient_ridge_index(make):
+def test_class_membership_reads_closed_links_from_the_ambient_ridge_index(make, closed):
     x = make()
     links = []
     real = walkup.link
@@ -286,14 +293,21 @@ def test_class_membership_reads_closed_links_from_the_ambient_ridge_index(make):
 
     with mock.patch.object(walkup, "link", recorded), \
             mock.patch.object(walkup, "_ridge_incidence",
-                              wraps=walkup._ridge_incidence) as ridges:
+                              wraps=walkup._ridge_incidence) as ridges, \
+            mock.patch.object(dualgraph, "dual_graph", wraps=dualgraph.dual_graph) as graphs:
         report = class_membership(x)
-    assert report.in_class_k and not report.in_class_kbar
-    assert len(links) == x.num_vertices
+    assert (report.k_fail is None, report.kbar_fail is None) == (closed, not closed)
+    # a closed complex peels every link; an open one fails K at a vertex
+    # on its boundary before any link is built
+    assert len(links) == (x.num_vertices if closed else 0)
     assert not any("_ridge_incidence" in lk._face_cache for lk in links)
     # one index, the ambient one, read once and kept
     assert ridges.call_count == 1 and ridges.call_args.args[0] is x
     assert "_ridge_incidence" in x._face_cache
+    # the links' facet graphs are stars of the ambient one, memoised on x;
+    # a closed complex fails K-bar on its first vertex count
+    assert all(call.args[0] is x for call in graphs.call_args_list)
+    assert ("dual_graph" in x._face_cache) == (not closed)
 
 
 def _generated_instances():
@@ -322,7 +336,7 @@ def test_one_dimensional_stacked_balls_store_no_report():
     # stacked 0-spheres, so vertex 2 is the first to fail class K
     x = random_stacked_ball(1, 3)
     assert class_membership.peek(x) is None
-    assert class_membership(x) == ClassReport(False, True, 2)
+    assert class_membership(x) == ClassReport(2, None)
 
 
 def _closed(d, k):
@@ -353,7 +367,7 @@ def test_stacked_link_counts_against_enumeration_and_full_matrices(make, want):
     x = make()
     report = class_membership(x)  # memoised, so the route answers at any d >= 3
     in_k, counts = walkup._stacked_link_counts(x)
-    assert in_k == report.in_class_k != report.in_class_kbar
+    assert in_k == (report.k_fail is None) != (report.kbar_fail is None)
     enumerated = tuple(len(faces_of_dim(x, k)) for k in range(x.dim + 1))
     assert counts == enumerated == f_vector(x).counts
     assert betti_z2(x).betti == helpers.betti_by_matrices(x) == want
@@ -374,17 +388,17 @@ def test_the_route_survives_a_class_test_rebound_to_a_plain_wrapper():
     def traced(m):
         return original(m)
 
-    x = kuehnel_torus(9)
+    x = SimplicialComplex(kuehnel_torus(9).facets)  # no stored report
     with mock.patch.object(walkup, "class_membership", traced):
         assert f_vector(x).counts == tuple(len(faces_of_dim(x, k)) for k in range(10))
         assert betti_z2(x).betti == _closed(9, 1)
-    assert class_membership.peek(x).in_class_k
+    assert class_membership.peek(x).k_fail is None
 
 
 def test_a_surface_with_a_memoised_class_k_report_takes_the_sweep():
     # the theorem needs d >= 3: the 7-vertex torus has g2 = C(4, 2) and beta1 = 2
     x = kuehnel_torus(2)
-    assert class_membership(x).in_class_k
+    assert class_membership(x).k_fail is None
     assert walkup._stacked_link_counts(x) is None
     assert betti_z2(x).betti == (1, 2, 1)
 
@@ -414,7 +428,7 @@ def test_betti_of_a_solid_above_the_gate_comes_from_the_sweep():
     with mock.patch.object(homology, "_sweep", wraps=homology._sweep) as sweep:
         assert betti_z2(x).betti == (1, 1) + (0,) * 9
     assert sweep.called
-    assert class_membership.peek(x).in_class_kbar
+    assert class_membership.peek(x).kbar_fail is None
 
 
 def test_random_stacked_ball_shape_and_determinism():
