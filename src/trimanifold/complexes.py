@@ -7,13 +7,14 @@ which is immutable, by :func:`_memoised`, the only code that reads or
 writes the cache.  It wraps these builders:
 
 - ``dim`` and ``vertices``, the dimension and the vertex set;
-- :func:`_vertex_facets`, vertex -> ascending ids of its facets;
+- :func:`_vertex_facets`, vertex -> ascending ids of its facets, from
+  which the class test also reads the cone over each vertex link;
 - :func:`_neighbours`, vertex -> its neighbours in the 1-skeleton, read
   by :func:`is_neighborly`, the class-K counts, the bar construction and
   handle addition;
 - :func:`_ridge_incidence`, codimension-one face -> ids of its facets,
   from which :func:`.walkup.class_membership` also reads which vertex
-  links are closed, so that no link builds one of its own;
+  links are closed; the class test builds no link at all;
 - :func:`.dualgraph.dual_graph`, the facet graph, from the ridge index;
   its star at a vertex v is the facet graph of lk v, and the class test
   reads every link's facet graph as such a star;

@@ -25,6 +25,7 @@ fixture built from a seed is reproducible on any platform or language.
 from __future__ import annotations
 
 import bisect
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import repeat
 from math import comb, isqrt
@@ -43,7 +44,6 @@ from .complexes import (
     from_facets,
     is_pure,
     is_weak_pseudomanifold,
-    link,
 )
 from .dualgraph import dual_graph, is_tree, vertex_facet_subgraph
 from .errors import InadmissibleHandleError, PreconditionError
@@ -139,59 +139,78 @@ def is_stacked_sphere(s: SimplicialComplex) -> bool:
     The input must be a pure closed weak pseudomanifold; anything else
     raises :class:`PreconditionError`.  The answer is then that of
     :func:`_peels_to_simplex_boundary`, the one peel in the package, which
-    :func:`class_membership` also runs on the vertex links that it knows
-    to be closed.
+    :func:`class_membership` also runs on the cones over the vertex links
+    that it knows to be closed.
     """
     if not s.facets or not is_weak_pseudomanifold(s):
         raise PreconditionError("input must be a pure weak pseudomanifold")
     if any(len(ids) == 1 for ids in _ridge_incidence(s).values()):
         raise PreconditionError("input has a non-empty boundary")
-    return _peels_to_simplex_boundary(s)
+    return _peels_to_simplex_boundary(
+        set(s.facets),
+        {v: {s.facets[i] for i in ids} for v, ids in _vertex_facets(s).items()},
+    )
 
 
-def _peels_to_simplex_boundary(s: SimplicialComplex) -> bool:
-    """Peel the pure closed weak pseudomanifold ``s`` and report whether
-    it ends at the boundary of a simplex.
+def _peels_to_simplex_boundary(facets: set, stars: dict, apex: int | None = None) -> bool:
+    """Peel a pure closed weak pseudomanifold, or the cone over one, and
+    report whether it ends at the boundary of a simplex.
 
-    Recognition keeps a map from each vertex to its star and a worklist
-    of vertices to try, first all of them.  A vertex v is peeled when its
-    star has d + 1 facets, their other vertices form a hull H of d + 1
-    vertices, and H is not already a facet.  The star is then the cone
-    over the boundary of H (d + 1 distinct d-faces through v on the d + 2
-    vertices of v and H are all of them), and it is replaced by the seal
-    H.  Any order of peels is as good as any other (see the module
-    docstring).  After a peel only the vertices of H go back on the
-    worklist: a vertex becomes removable only when a peel changes its
-    star or deletes its seal, and either way it shares a facet with v, so
-    it lies in H.  The answer is True when peeling stops at d + 2 facets.
+    ``facets`` is the set of facets, as vertex tuples, and ``stars`` maps
+    each vertex that may be peeled to the set of its facets; both are
+    consumed.  Without ``apex`` they describe the complex S itself.  With
+    it they describe the cone over S with that apex: every facet holds the
+    apex, which is never peeled and has no entry in ``stars``.
+
+    A worklist holds the vertices to try, first all of them.  A vertex v
+    of S is peeled when its star has d + 1 facets, their other vertices
+    form a hull H of d + 1 vertices, and H is not already a facet.  The
+    star is then the cone over the boundary of H (d + 1 distinct d-faces
+    through v on the d + 2 vertices of v and H are all of them), and it
+    is replaced by the seal H.  Any order of peels is as good as any other
+    (see the module docstring).  After a peel only the vertices of H go
+    back on the worklist: a vertex becomes removable only when a peel
+    changes its star or deletes its seal, and either way it shares a facet
+    with v, so it lies in H.
+
+    The cone peels alike.  Taking the apex a out of each facet maps the
+    facets of the cone onto those of S and the star of v in the cone onto
+    its star in S, so v has d + 1 facets in one exactly when in the other,
+    its hull in the cone is H + a, and the seal H + a is a facet of the
+    cone exactly when H is one of S.  So a peel of the cone is a peel of S
+    and the other way round.  A facet and a hull have d + 1 vertices in S
+    and d + 2 in its cone, and a peeled star has d + 1 facets in both.
+
+    Every peel keeps S a closed weak pseudomanifold.  With d + 2 facets
+    each one meets the other d + 1 in a ridge apiece, and as no ridge lies
+    in three facets they cannot share one ridge (a sunflower), so all lie
+    on d + 2 vertices: S is the boundary of a simplex.  There a star of
+    d + 1 facets is all facets but one, whose vertex set is its hull, so
+    every seal is already a facet and no peel is left.  The answer is
+    True as soon as d + 2 facets are left, and False when the worklist
+    runs out before.
     """
-    dd = s.dim
-    facets = set(s.facets)
-    stars = {
-        v: {s.facets[i] for i in ids} for v, ids in _vertex_facets(s).items()
-    }
+    size = len(next(iter(facets)))  # vertices of a facet, and of a hull
+    star_size = size - (apex is not None)  # d + 1
     todo = list(stars)
-    while todo:
+    while todo and len(facets) > star_size + 1:
         v = todo.pop()
         star_v = stars.get(v, ())
-        if len(star_v) != dd + 1:
+        if len(star_v) != star_size:
             continue
         hull = set().union(*star_v) - {v}
         seal = tuple(sorted(hull))
-        if len(hull) != dd + 1 or seal in facets:
+        if len(hull) != size or seal in facets:
             continue
         facets -= star_v
         facets.add(seal)
+        hull.discard(apex)
         for w in hull:
             stars[w] -= star_v
             stars[w].add(seal)
         del stars[v]
         todo.extend(hull)
-    # every peel keeps the facets a closed weak pseudomanifold; with d + 2
-    # facets each one meets the other d + 1 in a ridge apiece, and as no
-    # ridge lies in three facets they cannot share one ridge (a sunflower),
-    # so all lie on d + 2 vertices: the boundary of a simplex
-    return len(facets) == dd + 2
+    return len(facets) == star_size + 1
 
 
 @_memoised
@@ -201,15 +220,19 @@ def class_membership(m: SimplicialComplex) -> ClassReport:
     Class K needs every vertex link to be a stacked sphere, class K-bar
     every link to be a stacked ball.  Each class is decided by its own
     scan over the vertices in order, which stops at its first failure, and
-    both read the ridge index and the facet graph of ``m``, never those of
-    a link.
+    both read the indices of ``m``; no link is built.
 
     A ridge of lk v is a ridge of ``m`` through v with v removed, and it
     lies in the facets of that ridge, less v.  So lk v is a pure closed
     weak pseudomanifold exactly when every ridge of ``m`` through v lies
     in two facets, which one pass over the memoised ridge index of ``m``
-    decides for every vertex at once.  Such a link is peeled; every other
-    link is no stacked sphere.
+    decides for every vertex at once.  Every other link is no stacked
+    sphere.  A closed link is peeled as the cone over it with apex v
+    (:func:`_cone_at`): sigma -> sigma - v maps the facets of ``m``
+    through v onto those of lk v, and those that also hold w onto the
+    star of w in lk v, so the cone peels exactly when lk v does (see
+    :func:`_peels_to_simplex_boundary`).  For d = 0 every link is empty
+    and fails class K.
 
     Two facets sigma - v and tau - v of lk v share a ridge exactly when
     sigma and tau share one: both hold v, so sigma - v and tau - v meet in
@@ -229,11 +252,11 @@ def class_membership(m: SimplicialComplex) -> ClassReport:
         v for ridge, ids in _ridge_incidence(m).items() if len(ids) != 2
         for v in ridge
     }
+    d, facets = m.dim, m.facets
     k_fail = next((
         v for v in m.vertices
-        if v in open_at or not _peels_to_simplex_boundary(link(m, (v,)))
+        if d < 1 or v in open_at or not _peels_to_simplex_boundary(*_cone_at(m, v), v)
     ), None)
-    d, facets = m.dim, m.facets
     kbar_fail = next((
         v for v, ids in _vertex_facets(m).items()
         if d < 1 or len(set().union(*(facets[i] for i in ids))) != len(ids) + d
@@ -242,20 +265,34 @@ def class_membership(m: SimplicialComplex) -> ClassReport:
     return ClassReport(k_fail, kbar_fail)
 
 
+def _cone_at(m: SimplicialComplex, v: int) -> tuple[set, dict]:
+    """The facets of ``m`` through ``v``, and the star in them of every
+    other vertex: the cone over lk v with apex v, ready to peel."""
+    facets = m.facets
+    star = [facets[i] for i in _vertex_facets(m)[v]]
+    stars = defaultdict(set)
+    for f in star:
+        for w in f:
+            stars[w].add(f)
+    del stars[v]
+    return set(star), stars
+
+
 # bound once, so that code which rebinds class_membership with a plain
 # wrapper (a tracer, a mock) neither hides the memoised report nor breaks
 # the generators, which store the report their construction proves
 _memoised_report = class_membership.peek
 _store_report = class_membership.store
 
-# from this dimension up the class test costs less than counting faces.
-# Measured (Python 3.11, 2-vCPU host, fastest of 25 fresh complexes): on
-# Kuehnel tori the class test takes 8.6 ms at d = 8 against 7.9 ms for the
-# middle face levels, and 13.6 against 18.2 ms at d = 9; on solids the two
-# are even at d = 8 (2.2 ms) and the class test wins from d = 9 (2.5
-# against 5.3 ms).  A gate at 8 makes f_vector slower on both (lower
-# quartile of 25: T8 10.1 against 7.6 ms, S8 2.4 against 2.3 ms)
-_ROUTE_MIN_DIM = 9
+# from this dimension up the class test and the counts cost less than the
+# middle face levels.  Measured (Python 3.11, 2-vCPU host, fastest of 25
+# fresh complexes, median of three runs): at dimension 8 on kuehnel_torus(8)
+# 4.9 against 7.7 ms and on kuehnel_solid(7) 0.58 against 1.00 ms; at 9 on
+# kuehnel_torus(9) 7.6 against 21.0 ms and on kuehnel_solid(8) 0.75 against
+# 2.39 ms; at 7 they are even, 3.24 against 3.22 ms on kuehnel_torus(7) and
+# 0.45 against 0.44 ms on kuehnel_solid(6).  betti_z2 of a K-bar complex
+# still sweeps after the class test (about 0.4 ms more on kuehnel_solid(7))
+_ROUTE_MIN_DIM = 8
 
 
 def _stacked_link_counts(m: SimplicialComplex, test: bool = True):

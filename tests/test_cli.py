@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 import trimanifold
-from trimanifold import fct, walkup
+from trimanifold import complexes, fct, walkup
 from trimanifold.analysis import LEMMA_IDS, VertexBijection
 from trimanifold.cli import CHECK_NAMES, build_parser, main
 from trimanifold.complexes import boundary_complex, from_facets, relabel_vertices
@@ -488,9 +488,10 @@ def test_json_output_is_deterministic(capsys, tmp_path):
 
 
 # the per-vertex call of the one class scan that passes: the torus peels
-# every link, the solid reads every link's facet graph as a star
+# the cone over every link, the solid reads every link's facet graph as a
+# star
 @pytest.mark.parametrize("make, counted", [
-    pytest.param(kuehnel_torus, "link", id="kuehnel_torus"),
+    pytest.param(kuehnel_torus, "_peels_to_simplex_boundary", id="kuehnel_torus"),
     pytest.param(kuehnel_solid, "vertex_facet_subgraph", id="kuehnel_solid"),
 ])
 def test_check_runs_class_membership_once(capsys, tmp_path, monkeypatch, make, counted):
@@ -504,9 +505,14 @@ def test_check_runs_class_membership_once(capsys, tmp_path, monkeypatch, make, c
     # two checks classified the links once
     calls = []
     real = getattr(walkup, counted)
-    monkeypatch.setattr(walkup, counted, lambda m, a: calls.append(a) or real(m, a))
+    monkeypatch.setattr(walkup, counted, lambda *a: calls.append(a) or real(*a))
+    # and it builds no link
+    built = []
+    monkeypatch.setattr(complexes, "link", lambda *a: built.append(a))
+    monkeypatch.setattr(walkup, "link", lambda *a: built.append(a), raising=False)
     code, out, _ = run(capsys, "check", str(path), "--checks", "class-k,class-kbar")
     assert len(calls) == make(3).num_vertices
+    assert built == []
     assert code == 1
     assert json.loads(out)["checks"] == alone
 

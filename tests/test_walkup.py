@@ -1,6 +1,7 @@
 import hashlib
+import random
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 from math import comb
 from time import perf_counter
 from unittest import mock
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import helpers
-from trimanifold import dualgraph, fct, homology, walkup
+from trimanifold import complexes, dualgraph, fct, homology, walkup
 from trimanifold.complexes import (
     EMPTY,
     SimplicialComplex,
@@ -20,6 +21,7 @@ from trimanifold.complexes import (
     is_pseudomanifold,
     is_weak_pseudomanifold,
     link,
+    relabel_vertices,
 )
 from trimanifold.errors import InadmissibleHandleError, PreconditionError
 from trimanifold.homology import betti_z2
@@ -119,6 +121,15 @@ OCTAHEDRON = from_facets(
     (a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)
 )
 
+# the boundary of the 4-dimensional cross-polytope on 10..17 with the facet
+# (10, 12, 14, 16) stacked by a new vertex 0: lk 0 is the boundary of that
+# tetrahedron, a stacked sphere, and lk 10 is an octahedron with one facet
+# stacked, which is none
+CROSS_STACKED = from_facets(
+    [f for f in product((10, 11), (12, 13), (14, 15), (16, 17)) if f != (10, 12, 14, 16)]
+    + [(0,) + t for t in combinations((10, 12, 14, 16), 3)]
+)
+
 
 def test_stacked_sphere_agrees_with_search():
     # stacking vertex 6 onto one facet of the octahedron: one peel undoes
@@ -200,6 +211,69 @@ def test_class_membership_reports_first_failure():
     assert report == ClassReport(0, None)
 
 
+def test_class_membership_reports_a_failure_after_a_passing_vertex():
+    # the K scan peels the cone over lk 0 to the end and goes on to 10;
+    # lk 0 is closed, so 0 fails K-bar
+    assert class_membership(CROSS_STACKED) == ClassReport(10, 0)
+
+
+class _TriedLog(dict):
+    """A star map that records every vertex the peel tries."""
+
+    def __init__(self, stars):
+        super().__init__(stars)
+        self.tried = []
+
+    def get(self, v, default=None):
+        self.tried.append(v)
+        return super().get(v, default)
+
+
+def _logged_peels():
+    logs = []
+    real = walkup._peels_to_simplex_boundary
+
+    def logged(facets, stars, apex=None):
+        logs.append((apex, _TriedLog(stars)))
+        return real(facets, logs[-1][1], apex)
+
+    return logs, mock.patch.object(walkup, "_peels_to_simplex_boundary", logged)
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_the_peel_stops_at_once_on_the_boundary_of_a_simplex(d):
+    logs, patch = _logged_peels()
+    with patch:
+        assert is_stacked_sphere(boundary_complex(helpers.simplex(d + 1)))
+    assert [(apex, log.tried) for apex, log in logs] == [(None, [])]
+
+
+@pytest.mark.parametrize("n", (3, 4, 7))
+def test_polygon_links_stop_before_any_vertex_is_tried(n):
+    # lk v is two points, a 0-sphere: the cone over it, two edges through
+    # v, already has d + 2 facets
+    polygon = from_facets([(i, (i + 1) % n) for i in range(n)])
+    logs, patch = _logged_peels()
+    with patch:
+        assert class_membership(polygon) == ClassReport(None, None)
+    assert [(apex, log.tried) for apex, log in logs] == [(v, []) for v in range(n)]
+
+
+def test_class_membership_has_no_size_cliff():
+    # 4792 facets of dimension 12, and the 13-torus on other labels: about
+    # 0.4 s together on Python 3.11
+    body = SimplicialComplex(helpers.handle_body(12, 5, 400).facets)
+    torus = kuehnel_torus(13)
+    labels = random.Random(13).sample(range(100, 1000), torus.num_vertices)
+    relabelled = relabel_vertices(torus, dict(zip(torus.vertices, labels)))
+    assert len(body.facets) == 4792 and class_membership.peek(relabelled) is None
+    t0 = perf_counter()
+    reports = [class_membership(body), class_membership(relabelled)]
+    dt = perf_counter() - t0
+    assert [r.k_fail for r in reports] == [None, None]
+    assert dt < 2.0, f"class_membership took {dt:.2f} s, budget 2 s"
+
+
 def test_class_membership_is_memoised_but_errors_are_not():
     x = kuehnel_torus(3)
     report = class_membership(x)
@@ -260,6 +334,7 @@ def _class_report_instances():
     items += [
         ("octahedron", lambda: OCTAHEDRON),
         ("cross-polytope-3", lambda: cross),
+        ("cross-polytope-3-stacked", lambda: CROSS_STACKED),
         ("one-point", lambda: from_facets([(0,)])),
         ("two-points", lambda: from_facets([(0,), (1,)])),
         ("three-points", lambda: from_facets([(0,), (1,), (2,)])),
@@ -284,23 +359,22 @@ def test_class_membership_against_every_link_on_its_own_on_families(make):
 ])
 def test_class_membership_reads_closed_links_from_the_ambient_ridge_index(make, closed):
     x = make()
-    links = []
-    real = walkup.link
-
-    def recorded(m, a):
-        links.append(real(m, a))
-        return links[-1]
-
-    with mock.patch.object(walkup, "link", recorded), \
+    built = mock.Mock(wraps=complexes.link)
+    with mock.patch.object(complexes, "link", built), \
+            mock.patch.object(walkup, "link", built, create=True), \
+            mock.patch.object(walkup, "_peels_to_simplex_boundary",
+                              wraps=walkup._peels_to_simplex_boundary) as peels, \
             mock.patch.object(walkup, "_ridge_incidence",
                               wraps=walkup._ridge_incidence) as ridges, \
             mock.patch.object(dualgraph, "dual_graph", wraps=dualgraph.dual_graph) as graphs:
         report = class_membership(x)
     assert (report.k_fail is None, report.kbar_fail is None) == (closed, not closed)
-    # a closed complex peels every link; an open one fails K at a vertex
-    # on its boundary before any link is built
-    assert len(links) == (x.num_vertices if closed else 0)
-    assert not any("_ridge_incidence" in lk._face_cache for lk in links)
+    # no link is built: a closed complex peels the cone over every link,
+    # apex first vertex first; an open one fails K at a vertex on its
+    # boundary before any peel
+    assert not built.called
+    assert [call.args[2] for call in peels.call_args_list] == (
+        list(x.vertices) if closed else [])
     # one index, the ambient one, read once and kept
     assert ridges.call_count == 1 and ridges.call_args.args[0] is x
     assert "_ridge_incidence" in x._face_cache
@@ -375,11 +449,15 @@ def test_stacked_link_counts_against_enumeration_and_full_matrices(make, want):
 
 
 def test_stacked_link_counts_below_the_gate_need_a_memoised_report():
-    x = SimplicialComplex(kuehnel_torus(8).facets)  # no stored report
+    x = SimplicialComplex(kuehnel_torus(7).facets)  # no stored report
     assert walkup._stacked_link_counts(x) is None
     assert class_membership.peek(x) is None
     class_membership(x)
     assert walkup._stacked_link_counts(x, test=False) is not None
+    # at the gate, dimension 8, the counts run the class test themselves
+    y = SimplicialComplex(kuehnel_torus(8).facets)
+    assert walkup._stacked_link_counts(y) is not None
+    assert class_membership.peek(y) == ClassReport(None, 0)
 
 
 def test_the_route_survives_a_class_test_rebound_to_a_plain_wrapper():
