@@ -42,7 +42,7 @@ from .errors import (
     UnknownLemmaError,
 )
 from .homology import _betti01, _class_k_beta1
-from .walkup import class_membership
+from .walkup import _memoised_report, class_membership
 
 __all__ = [
     "ParameterTriple",
@@ -126,7 +126,7 @@ def tight_neighborly_check(m: SimplicialComplex) -> TightnessReport:
     """
     if not m.facets:
         raise PreconditionError("empty input")
-    k = _class_k_beta1(m, False)
+    k = None if _memoised_report(m) is None else _class_k_beta1(m)
     beta0, beta1 = _betti01(m) if k is None else (1, k)
     if beta0 != 1:
         raise PreconditionError("input must be connected")

@@ -23,12 +23,15 @@ writes the cache.  It wraps these builders:
   and whose ``store(x, report)`` records the report that a generator's
   construction proves, so that no class test runs for it.
 
-Face sets (:func:`faces_of_dim`) are built afresh on every call, so that
-counting faces does not keep every level alive.  :func:`f_vector` takes
-the counts of a complex whose links are all stacked spheres or all
-stacked balls from f_0 and f_1 instead (:func:`.walkup._stacked_link_counts`),
-among them every complex of dimension >= 3 that the generators of
-:mod:`.walkup` build.
+Face sets (:func:`faces_of_dim`, the only code that enumerates a face
+level) are built afresh on every call, so that counting faces does not
+keep every level alive.  They are read by :func:`f_vector`, the triangles
+of :func:`.walkup.bar_construction`, the reference
+:func:`.homology.chain_complex` and the homology sweep, one level at the
+start of each round.  :func:`f_vector` takes the counts of a complex
+whose links are all stacked spheres or all stacked balls from f_0 and f_1
+instead (:func:`.walkup._stacked_link_counts`), among them every complex
+of dimension >= 3 that the generators of :mod:`.walkup` build.
 
 This module is the only one that finds the facets at a vertex or across a
 ridge, or the neighbours of a vertex; every other module reads the three

@@ -48,9 +48,8 @@ for d_2 of ``kuehnel_torus(11)``).  Only the other faces of such a group
 become columns, each the set of its codimension-one faces, and the owner
 becomes one when it is first added.
 
-Each level (the k-faces) is the set of codimension-one faces of the level
-above plus the facets of that size, so only the top level is read from
-the complex, and only two levels are alive at a time.
+Each level (the k-faces) is read from :func:`.complexes.faces_of_dim` at
+the start of its round, and f_0 is the vertex count.
 
 Theorem (Walkup 1970 for d = 3; Kalai, "Rigidity and the lower bound
 theorem I", 1987, for d >= 4): a connected complex of dimension d >= 3
@@ -64,8 +63,8 @@ these hypotheses, and sweeps otherwise.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from operator import itemgetter
 
@@ -174,7 +173,7 @@ def chain_complex(x: SimplicialComplex) -> Z2ChainComplex:
         cols = []
         for face in faces[k]:
             mask = 0
-            for sub in itertools.combinations(face, k):
+            for sub in combinations(face, k):
                 mask |= 1 << lower[sub]
             cols.append(mask)
         boundaries.append(Z2Matrix(len(faces[k - 1]), tuple(cols)))
@@ -183,26 +182,18 @@ def chain_complex(x: SimplicialComplex) -> Z2ChainComplex:
 
 def _sweep(x: SimplicialComplex, top: int) -> tuple[list[int], list[int]]:
     """Face counts f_0..f_top and ranks r_0..r_{top+1} of the boundary maps,
-    with r_0 = r_{top+1} = 0, from one clearing sweep (see the module
-    docstring); d_top itself is reduced in full."""
+    with r_0 = r_{top+1} = 0, from one clearing sweep over the levels of
+    :func:`faces_of_dim` (see the module docstring); d_top itself is
+    reduced in full."""
     if not x.facets:
         raise PreconditionError("chain complex of the empty complex is undefined")
-    by_size: dict[int, list] = {}
-    for facet in x.facets:
-        by_size.setdefault(len(facet), []).append(facet)
-    counts = [0] * (top + 1)
+    counts = [x.num_vertices] + [0] * top
     ranks = [0] * (top + 2)
-    faces = faces_of_dim(x, top)
     cleared: dict = {}  # pivot rows of the reduced map above
     for k in range(top, 0, -1):
+        faces = faces_of_dim(x, k)
         todo = faces.difference(cleared)
         counts[k] = len(faces)
-        faces = set(
-            itertools.chain.from_iterable(
-                map(itertools.combinations, faces, itertools.repeat(k))
-            )
-        )
-        faces.update(by_size.get(k, ()))
         # pivot row -> face tuple, or its column once reduced against
         pivots = dict(zip(map(itemgetter(slice(1, None)), todo), todo))
         if len(pivots) < len(todo):
@@ -213,12 +204,12 @@ def _sweep(x: SimplicialComplex, top: int) -> tuple[list[int], list[int]]:
                 if face < owner:
                     pivots[face[1:]], losers[i] = face, owner
             for face in losers:
-                col = set(itertools.combinations(face, k))
+                col = set(combinations(face, k))
                 low = face[1:]
                 other = pivots[low]
                 while other is not None:
                     if type(other) is tuple:
-                        other = pivots[low] = set(itertools.combinations(other, k))
+                        other = pivots[low] = set(combinations(other, k))
                     col ^= other
                     if not col:
                         break
@@ -228,16 +219,15 @@ def _sweep(x: SimplicialComplex, top: int) -> tuple[list[int], list[int]]:
                     pivots[low] = col
         ranks[k] = len(pivots)
         cleared = pivots
-    counts[0] = len(faces)
     return counts, ranks
 
 
-def _class_k_beta1(x: SimplicialComplex, test: bool) -> int | None:
+def _class_k_beta1(x: SimplicialComplex) -> int | None:
     """k = g2 / C(d+2, 2) by the theorem of the module docstring, or None
     when its hypotheses are not established: d >= 3 and class K from
-    :func:`.walkup._stacked_link_counts` (which gets ``test``), and a
-    connected facet graph.  A remainder raises AssertionError."""
-    route = _stacked_link_counts(x, test)
+    :func:`.walkup._stacked_link_counts`, and a connected facet graph.  A
+    remainder raises AssertionError."""
+    route = _stacked_link_counts(x)
     if route is None or not route[0] or not is_connected(dual_graph(x)):
         return None
     f = route[1]
@@ -251,7 +241,7 @@ def _class_k_beta1(x: SimplicialComplex, test: bool) -> int | None:
 def betti_z2(x: SimplicialComplex) -> BettiVector:
     """Full mod-2 Betti vector b_0..b_d, from g2 for connected class-K
     input (see the module docstring) and from the sweep otherwise."""
-    k = _class_k_beta1(x, True)
+    k = _class_k_beta1(x)
     if k is not None:
         return BettiVector((1, k) + (0,) * (x.dim - 3) + (k, 1))
     counts, ranks = _sweep(x, x.dim)

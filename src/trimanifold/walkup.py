@@ -291,19 +291,20 @@ _store_report = class_membership.store
 # kuehnel_torus(9) 7.6 against 21.0 ms and on kuehnel_solid(8) 0.75 against
 # 2.39 ms; at 7 they are even, 3.24 against 3.22 ms on kuehnel_torus(7) and
 # 0.45 against 0.44 ms on kuehnel_solid(6).  betti_z2 of a K-bar complex
-# still sweeps after the class test (about 0.4 ms more on kuehnel_solid(7))
+# still sweeps after the class test (fresh kuehnel_solid(7): 3.7 ms, 0.5 ms
+# of it the class test)
 _ROUTE_MIN_DIM = 8
 
 
-def _stacked_link_counts(m: SimplicialComplex, test: bool = True):
+def _stacked_link_counts(m: SimplicialComplex):
     """``(sphere, (f_0, ..., f_d))`` from f_0 and f_1 when ``m`` has
     dimension d >= 3 and its class report finds no failing vertex for K
     (then ``sphere`` is True) or for K-bar; else None.
 
     A memoised report is read with ``class_membership.peek``; without
-    one, the class test runs only if ``test`` is true, d >= _ROUTE_MIN_DIM
-    and ``m`` is pure.  Each j-face lies in the link of each of its j + 1
-    vertices, so (j+1) f_j = sum over v of f_{j-1}(lk v), where lk v has
+    one, the class test runs only if d >= _ROUTE_MIN_DIM and ``m`` is
+    pure.  Each j-face lies in the link of each of its j + 1 vertices, so
+    (j+1) f_j = sum over v of f_{j-1}(lk v), where lk v has
     dimension D = d - 1 and deg v vertices, and its counts are affine in
     its vertex count n.  A stacked D-sphere (boundary of a simplex, then
     one cone over a facet boundary per vertex) has f_i = C(D+1, i) n -
@@ -318,7 +319,7 @@ def _stacked_link_counts(m: SimplicialComplex, test: bool = True):
         return None
     report = _memoised_report(m)
     if report is None:
-        if not test or d < _ROUTE_MIN_DIM or not is_pure(m):
+        if d < _ROUTE_MIN_DIM or not is_pure(m):
             return None
         report = class_membership(m)
     sphere = report.k_fail is None

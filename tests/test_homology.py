@@ -1,9 +1,11 @@
 from time import perf_counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 import helpers
+from trimanifold import homology
 from trimanifold.complexes import EMPTY, boundary_complex, f_vector, from_facets, relabel_vertices
 from trimanifold.errors import PreconditionError
 from trimanifold.homology import (
@@ -15,7 +17,7 @@ from trimanifold.homology import (
     chain_complex,
     is_orientable,
 )
-from trimanifold.walkup import kuehnel_solid, kuehnel_torus, random_stacked_ball
+from trimanifold.walkup import class_membership, kuehnel_solid, kuehnel_torus, random_stacked_ball
 
 
 def _pack_columns(rows):
@@ -172,6 +174,29 @@ def test_betti_sweep_matches_full_matrices(x):
     assert _betti01(x) == (want[0], b1)
 
 
+def _assert_levels_read_once(x):
+    # faces_of_dim is the one face-level builder: the sweep reads each
+    # level k = top .. 1 from it once, and no level from anywhere else
+    for top in (x.dim, min(2, x.dim)):
+        with mock.patch.object(homology, "faces_of_dim", wraps=homology.faces_of_dim) as levels:
+            homology._sweep(x, top)
+        assert [c.args for c in levels.call_args_list] == [(x, k) for k in range(top, 0, -1)]
+
+
+@pytest.mark.parametrize(
+    "x",
+    [kuehnel_torus(5), kuehnel_solid(4), from_facets([(0, 1, 2, 3), (3, 4, 5), (5, 6), (7,)])],
+    ids=["torus-5", "solid-4", "impure"],
+)
+def test_the_sweep_reads_each_level_from_faces_of_dim_once(x):
+    _assert_levels_read_once(x)
+
+
+@given(complexes_in_parts())
+def test_the_sweep_reads_each_level_from_faces_of_dim_once_on_complexes_in_parts(x):
+    _assert_levels_read_once(x)
+
+
 _LABELLED = [kuehnel_torus(d) for d in range(2, 7)] + [kuehnel_solid(d) for d in range(2, 6)]
 
 
@@ -247,3 +272,17 @@ def test_betti_of_stacked_sphere_boundaries_within_budget(d, m, want):
     dt = perf_counter() - t0
     assert bv.betti == want
     assert dt < 1.0, f"betti_z2 of the boundary of random_stacked_ball({d}, {m}) took {dt:.2f} s"
+
+
+def test_betti_of_large_kbar_solids_within_budget():
+    # both carry a stored K-bar report, so betti_z2 takes no closed form
+    # and sweeps every level, at dimensions 14 and 9
+    solid, ball = kuehnel_solid(13), random_stacked_ball(9, 300, 1)
+    assert class_membership.peek(solid).kbar_fail is None
+    assert class_membership.peek(ball).kbar_fail is None
+    t0 = perf_counter()
+    bv_solid, bv_ball = betti_z2(solid), betti_z2(ball)
+    dt = perf_counter() - t0
+    assert bv_solid.betti == (1, 1) + (0,) * 13
+    assert bv_ball.betti == (1,) + (0,) * 9
+    assert dt < 3.0, f"betti_z2 of kuehnel_solid(13) and random_stacked_ball(9, 300, 1) took {dt:.2f} s"

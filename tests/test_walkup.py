@@ -445,7 +445,7 @@ def test_stacked_link_counts_against_enumeration_and_full_matrices(make, want):
     enumerated = tuple(len(faces_of_dim(x, k)) for k in range(x.dim + 1))
     assert counts == enumerated == f_vector(x).counts
     assert betti_z2(x).betti == helpers.betti_by_matrices(x) == want
-    assert homology._class_k_beta1(x, False) == (want[1] if in_k else None)
+    assert homology._class_k_beta1(x) == (want[1] if in_k else None)
 
 
 def test_stacked_link_counts_below_the_gate_need_a_memoised_report():
@@ -453,7 +453,7 @@ def test_stacked_link_counts_below_the_gate_need_a_memoised_report():
     assert walkup._stacked_link_counts(x) is None
     assert class_membership.peek(x) is None
     class_membership(x)
-    assert walkup._stacked_link_counts(x, test=False) is not None
+    assert walkup._stacked_link_counts(x) is not None
     # at the gate, dimension 8, the counts run the class test themselves
     y = SimplicialComplex(kuehnel_torus(8).facets)
     assert walkup._stacked_link_counts(y) is not None
