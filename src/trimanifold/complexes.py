@@ -21,7 +21,10 @@ writes the cache.  It wraps these builders:
 - :func:`.walkup.class_membership`, the Walkup class report, whose
   ``peek(x)`` returns the stored report, or None, without building it,
   and whose ``store(x, report)`` records the report that a generator's
-  construction proves, so that no class test runs for it.
+  construction proves, so that no class test runs for it;
+- :func:`f_vector`, the face counts, whose ``store`` records the counts
+  that :func:`boundary_complex` reads from f_0 for the boundary of a
+  stacked ball.
 
 Face sets (:func:`faces_of_dim`, the only code that enumerates a face
 level) are built afresh on every call, so that counting faces does not
@@ -31,7 +34,8 @@ of :func:`.walkup.bar_construction`, the reference
 start of each round.  :func:`f_vector` takes the counts of a complex
 whose links are all stacked spheres or all stacked balls from f_0 and f_1
 instead (:func:`.walkup._stacked_link_counts`), among them every complex
-of dimension >= 3 that the generators of :mod:`.walkup` build.
+of dimension >= 3 that the generators of :mod:`.walkup` build, and
+enumerates nothing for a boundary whose counts are stored.
 
 This module is the only one that finds the facets at a vertex or across a
 ridge, or the neighbours of a vertex; every other module reads the three
@@ -239,16 +243,19 @@ def faces_of_dim(x: SimplicialComplex, k: int) -> frozenset:
     return frozenset(chain.from_iterable(map(combinations, x.facets, repeat(k + 1))))
 
 
+@_memoised
 def f_vector(x: SimplicialComplex) -> FVector:
-    """Face counts (f_0, ..., f_d) and their alternating sum.
+    """Face counts (f_0, ..., f_d) and their alternating sum, memoised.
 
-    Counts come from :func:`.walkup._stacked_link_counts` when it answers,
-    which it does without a class test for every complex of dimension >= 3
-    built by the generators of :mod:`.walkup` (Kuehnel solids and tori,
-    stacked balls), as they store the class report they prove.
-    Otherwise f_0 is the vertex count and f_d the number of facets of size
-    d + 1, as every face of top dimension is a facet; only the levels in
-    between are enumerated.
+    :func:`boundary_complex` stores the counts of the boundary of a
+    stacked ball, which it reads from f_0.  Otherwise counts come from
+    :func:`.walkup._stacked_link_counts` when it answers, which it does
+    without a class test for every complex of dimension >= 3 built by the
+    generators of :mod:`.walkup` (Kuehnel solids and tori, stacked balls),
+    as they store the class report they prove.  Otherwise f_0 is the
+    vertex count and f_d the number of facets of size d + 1, as every face
+    of top dimension is a facet; only the levels in between are
+    enumerated.
     """
     from .walkup import _stacked_link_counts
 
@@ -261,6 +268,11 @@ def f_vector(x: SimplicialComplex) -> FVector:
     middle = (len(faces_of_dim(x, k)) for k in range(1, d))
     top = sum(len(f) == d + 1 for f in x.facets)
     return FVector.from_counts((x.num_vertices, *middle, top) if d else (top,))
+
+
+# bound once, so that code which rebinds f_vector with a plain wrapper (a
+# tracer, a mock) does not break boundary_complex, which stores the counts
+_store_f_vector = f_vector.store
 
 
 def link(x: SimplicialComplex, alpha: Iterable[int]) -> SimplicialComplex:
@@ -357,7 +369,29 @@ def boundary_complex(x: SimplicialComplex) -> SimplicialComplex:
 
     Requires a pure weak pseudomanifold.  A closed input yields the empty
     complex.
+
+    When ``x`` is a stacked d-ball with d >= 2, as
+    :func:`.walkup.is_stacked_ball` certifies, the f-vector of the
+    boundary is stored from n = f_0(x) alone, with no face level built:
+    - A tree facet graph with f_0 = f_d + d is a stacking order.  Take the
+      facets in an order along the tree, each after its neighbour on the
+      way to the first.  Each facet after the first meets an earlier one
+      in a ridge, so it brings at most one new vertex, and with
+      f_0 = f_d + d each brings exactly one.  It cones that fresh vertex
+      over a ridge of an earlier facet, and the ridge is free among the
+      earlier facets, as in a weak pseudomanifold it lies in no third
+      facet.  So ``x`` is a stacked ball.
+    - For d >= 2 every vertex of ``x`` lies on the boundary.  The simplex
+      has all its vertices there.  A stacking step on the free ridge tau
+      puts the fresh vertex w and every u in tau on the free ridge
+      tau - u' + w, for some u' in tau other than u, which exists as tau
+      has d >= 2 vertices.  The other free ridges stay free.
+    - So the boundary is a stacked (d-1)-sphere on those n vertices, whose
+      counts :func:`.walkup._stacked_counts` gives.
+    Other inputs leave the counts to :func:`f_vector`.
     """
+    from .walkup import _stacked_counts, is_stacked_ball
+
     if not x.facets:
         raise PreconditionError("boundary of the empty complex is undefined")
     if not is_weak_pseudomanifold(x):
@@ -367,7 +401,12 @@ def boundary_complex(x: SimplicialComplex) -> SimplicialComplex:
     )
     if not free:
         return EMPTY
-    return SimplicialComplex(tuple(free))
+    bd = SimplicialComplex(tuple(free))
+    if x.dim >= 2 and is_stacked_ball(x):
+        n = x.num_vertices
+        counts = (a * n + b for a, b in _stacked_counts(x.dim - 1, sphere=True))
+        _store_f_vector(bd, FVector.from_counts(counts))
+    return bd
 
 
 def relabel_vertices(x: SimplicialComplex, mapping: dict) -> SimplicialComplex:

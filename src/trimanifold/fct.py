@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import io
 import os
+from itertools import chain
 from typing import TextIO
 
 from .complexes import SimplicialComplex, _from_canonical
@@ -98,8 +99,15 @@ def _label(token: str) -> int | None:
 
 
 def dumps(x: SimplicialComplex) -> str:
-    """Canonical text form, one facet per line."""
-    return "".join(" ".join(map(str, f)) + "\n" for f in x.facets)
+    """Canonical text form, one facet per line.
+
+    One ``"%d ... %d\\n"`` line template per facet size, joined in facet
+    order, is formatted once with every label: ``%d`` writes an int as
+    ``str`` does, and refuses a label past the int-digit limit with the
+    same ``ValueError``."""
+    line = {n: " ".join(["%d"] * n) + "\n" for n in set(map(len, x.facets))}
+    return "".join(map(line.__getitem__, map(len, x.facets))) % tuple(
+        chain.from_iterable(x.facets))
 
 
 def read_fct(source: str | os.PathLike | TextIO) -> SimplicialComplex:

@@ -296,6 +296,23 @@ _store_report = class_membership.store
 _ROUTE_MIN_DIM = 8
 
 
+def _stacked_counts(dd: int, sphere: bool) -> list:
+    """``[(a_0, b_0), ..., (a_D, b_D)]`` for D = ``dd``: a stacked D-sphere
+    (``sphere`` True) or a stacked D-ball on n vertices has f_i = a_i n + b_i.
+
+    A stacked D-sphere (boundary of a simplex, then one cone over a facet
+    boundary per vertex) has f_i = C(D+1, i) n - C(D+2, i+1) i for i < D
+    and f_D = D n - (D+2)(D-1); a stacked D-ball (a facet tree with
+    n = f_D + D, so each facet after the first cones a fresh vertex over a
+    ridge) has f_i = C(D+1, i+1) + (n-D-1) C(D, i).
+    """
+    if not sphere:
+        return [(comb(dd, i), comb(dd + 1, i + 1) - (dd + 1) * comb(dd, i))
+                for i in range(dd + 1)]
+    return [(comb(dd + 1, i), -comb(dd + 2, i + 1) * i) for i in range(dd)] + [
+        (dd, -(dd + 2) * (dd - 1))]
+
+
 def _stacked_link_counts(m: SimplicialComplex):
     """``(sphere, (f_0, ..., f_d))`` from f_0 and f_1 when ``m`` has
     dimension d >= 3 and its class report finds no failing vertex for K
@@ -306,13 +323,8 @@ def _stacked_link_counts(m: SimplicialComplex):
     pure.  Each j-face lies in the link of each of its j + 1 vertices, so
     (j+1) f_j = sum over v of f_{j-1}(lk v), where lk v has
     dimension D = d - 1 and deg v vertices, and its counts are affine in
-    its vertex count n.  A stacked D-sphere (boundary of a simplex, then
-    one cone over a facet boundary per vertex) has f_i = C(D+1, i) n -
-    C(D+2, i+1) i for i < D and f_D = D n - (D+2)(D-1); a stacked D-ball
-    (a facet tree with n = f_D + D, so each facet after the first cones a
-    fresh vertex over a ridge) has f_i = C(D+1, i+1) + (n-D-1) C(D, i).
-    With sum over v of deg v = 2 f_1 the division is exact, or
-    AssertionError is raised.
+    its vertex count (:func:`_stacked_counts`).  With sum over v of
+    deg v = 2 f_1 the division is exact, or AssertionError is raised.
     """
     d = m.dim
     if d < 3:
@@ -328,15 +340,9 @@ def _stacked_link_counts(m: SimplicialComplex):
     nbr = _neighbours(m)
     f0 = len(nbr)
     degrees = sum(map(len, nbr.values()))  # 2 f_1
-    dd = d - 1
     counts = [f0]
-    for i in range(d):  # f_{i+1} of m from f_i of the links
-        if not sphere:
-            a, b = comb(dd, i), comb(dd + 1, i + 1) - (dd + 1) * comb(dd, i)
-        elif i < dd:
-            a, b = comb(dd + 1, i), -comb(dd + 2, i + 1) * i
-        else:
-            a, b = dd, -(dd + 2) * (dd - 1)
+    # f_{i+1} of m from f_i of the links
+    for i, (a, b) in enumerate(_stacked_counts(d - 1, sphere)):
         f, rest = divmod(a * degrees + b * f0, i + 2)
         if rest:
             raise AssertionError(f"f_{i + 1} from the vertex links is not an integer")

@@ -167,6 +167,11 @@ def loads_by_lines(text: str) -> SimplicialComplex:
         raise FctFormatError(0, "no facets in input") from None
 
 
+def dumps_by_lines(x: SimplicialComplex) -> str:
+    """FCT text written one facet and one label at a time through ``str``."""
+    return "".join(" ".join(map(str, f)) + "\n" for f in x.facets)
+
+
 def bar_by_global_masks(m: SimplicialComplex) -> SimplicialComplex:
     """The maximal vertex sets all of whose pairs are edges and all of whose
     triples are triangles of ``m``, by a Bron-Kerbosch search without a

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -578,6 +579,29 @@ def test_the_one_skeleton_comes_from_the_neighbour_table(capsys, tmp_path, monke
     assert len(read) == 2
     for x in read:
         assert "_neighbours" in x._face_cache
+
+
+def test_the_boundary_of_a_stacked_ball_enumerates_no_face_level(capsys, tmp_path, monkeypatch):
+    # the summary reads the counts that boundary_complex stores from f_0
+    real = trimanifold.complexes.faces_of_dim
+    levels = []
+
+    def traced(x, k):
+        levels.append(k)
+        return real(x, k)
+
+    for name, module in list(sys.modules.items()):  # every binding of it
+        if name.startswith("trimanifold") and getattr(module, "faces_of_dim", None) is real:
+            monkeypatch.setattr(module, "faces_of_dim", traced)
+    path, out_path = tmp_path / "b.fct", tmp_path / "s.fct"
+    fct.write_fct(random_stacked_ball(5, 2000), path)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "boundary", str(path), "-o", str(out_path))
+    dt = time.perf_counter() - t0
+    assert code == 0, err
+    assert levels == []
+    assert out == "dim 4 f-vector 2005 10010 20010 20005 8002 euler 2\n"
+    assert dt < 1.5, f"boundary of a 2000-facet stacked 5-ball took {dt:.2f} s"
 
 
 @pytest.mark.parametrize("collecting", [True, False])

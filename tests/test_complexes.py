@@ -186,6 +186,8 @@ def test_f_vector_frozen_values():
     assert f_vector(kuehnel_torus(3)).counts == (9, 36, 54, 27)
     assert f_vector(kuehnel_solid(2)).counts == (7, 21, 21, 7)
     assert f_vector(boundary_complex(helpers.simplex(3))).euler == 2
+    # the boundary stores its counts; a fresh copy enumerates them
+    assert f_vector(SimplicialComplex(boundary_complex(helpers.simplex(3)).facets)).euler == 2
 
 
 def test_f_vector_of_kuehnel_torus_13_within_budget():
@@ -312,6 +314,7 @@ def test_pseudomanifold_needs_connected_dual():
 def test_boundary_of_simplex():
     bd = boundary_complex(helpers.simplex(3))
     assert f_vector(bd).counts == (4, 6, 4)
+    assert f_vector(SimplicialComplex(bd.facets)).counts == (4, 6, 4)
 
 
 def test_boundary_of_closed_complex_is_empty():
@@ -330,6 +333,7 @@ def test_boundary_of_stacked_ball_is_sphere_sized():
     bd = boundary_complex(ball)
     assert bd.dim == 2
     assert f_vector(bd).euler == 2
+    assert f_vector(SimplicialComplex(bd.facets)).euler == 2
 
 
 def test_relabel_vertices():

@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 
 import helpers
 from trimanifold import fct
+from trimanifold.complexes import EMPTY, SimplicialComplex, boundary_complex, from_facets
 from trimanifold.errors import FctFormatError
 from trimanifold.walkup import kuehnel_solid, random_stacked_ball
 
@@ -155,6 +156,27 @@ def test_dumps_layout():
     assert not any(line != line.rstrip() for line in text.splitlines())
 
 
+@pytest.mark.parametrize("x", [
+    EMPTY,
+    from_facets([(0, 1, 2), (2, 3), (4,), (5, 10 ** 30)]),
+    kuehnel_solid(5),
+    boundary_complex(random_stacked_ball(4, 300, 7)),
+])
+def test_dumps_writes_labels_as_str_does(x):
+    assert fct.dumps(x) == helpers.dumps_by_lines(x)
+
+
+def test_dumps_refuses_a_label_past_the_digit_limit_as_str_does():
+    huge = SimplicialComplex(((1, 10 ** 5000),))
+    outcomes = []
+    for write in (fct.dumps, helpers.dumps_by_lines):
+        try:
+            outcomes.append(write(huge))
+        except ValueError as exc:  # past sys.get_int_max_str_digits()
+            outcomes.append(repr(exc))
+    assert outcomes[0] == outcomes[1]
+
+
 def test_roundtrip_is_identity_on_canonical_text():
     x = kuehnel_solid(3)
     assert fct.loads(fct.dumps(x)) == x
@@ -169,8 +191,6 @@ def test_roundtrip_is_identity_on_canonical_text():
     )
 )
 def test_roundtrip_arbitrary_complexes(faces):
-    from trimanifold.complexes import from_facets
-
     x = from_facets(faces)
     assert fct.loads(fct.dumps(x)) == x
 

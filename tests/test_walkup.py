@@ -473,6 +473,50 @@ def test_the_route_survives_a_class_test_rebound_to_a_plain_wrapper():
     assert class_membership.peek(x).k_fail is None
 
 
+def test_the_boundary_store_survives_f_vector_rebound_to_a_plain_wrapper():
+    original = complexes.f_vector
+
+    def traced(x):
+        return original(x)
+
+    with mock.patch.object(complexes, "f_vector", traced):
+        bd = boundary_complex(random_stacked_ball(4, 50, 1))
+        assert traced(bd) == f_vector(SimplicialComplex(bd.facets))
+    assert f_vector.peek(bd) is not None
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_the_stored_boundary_counts_against_enumeration(d):
+    balls = [random_stacked_ball(d, m, seed) for m in (1, 2, 3, 30, 200) for seed in (0, 1, 7)]
+    for ball in balls + [helpers.path_ball(d, m) for m in (1, 2, 30)]:
+        bd = boundary_complex(ball)
+        stored = f_vector.peek(bd)
+        # a stacked 1-ball is a path, whose inner vertices are off its boundary
+        assert (stored is None) == (d == 1)
+        fresh = SimplicialComplex(bd.facets)
+        assert f_vector.peek(fresh) is None
+        assert f_vector(bd) == f_vector(fresh)
+        assert f_vector(fresh).counts == tuple(len(faces_of_dim(bd, k)) for k in range(d))
+
+
+@pytest.mark.parametrize("d", [3, 4, 6])
+def test_a_ball_beside_a_solid_stores_no_boundary_counts(d):
+    # f_0 = f_d + d and f_d - 1 interior ridges, but the facet graph is a
+    # tree beside a cycle, not a tree
+    ball = random_stacked_ball(d, 30, 1)
+    solid = helpers.shifted(kuehnel_solid(d - 1), ball.num_vertices)
+    x = from_facets(ball.facets + solid.facets)
+    assert is_weak_pseudomanifold(x)
+    assert x.num_vertices == len(x.facets) + d
+    interior = sum(len(ids) == 2 for ids in complexes._ridge_incidence(x).values())
+    assert interior == len(x.facets) - 1
+    assert not is_stacked_ball(x)
+    for y in (x, kuehnel_solid(d - 1), kuehnel_solid(d)):
+        bd = boundary_complex(y)
+        assert f_vector.peek(bd) is None
+        assert f_vector(bd).counts == tuple(len(faces_of_dim(bd, k)) for k in range(bd.dim + 1))
+
+
 def test_a_surface_with_a_memoised_class_k_report_takes_the_sweep():
     # the theorem needs d >= 3: the 7-vertex torus has g2 = C(4, 2) and beta1 = 2
     x = kuehnel_torus(2)
