@@ -124,7 +124,7 @@ def tight_neighborly_check(m: SimplicialComplex) -> TightnessReport:
     neighborly.  beta1 comes from g2 only when a class report is already
     memoised: the class test costs more than the two small ranks.
     """
-    if not m.facets:
+    if m.dim < 0:
         raise PreconditionError("empty input")
     k = None if _memoised_report(m) is None else _class_k_beta1(m)
     beta0, beta1 = _betti01(m) if k is None else (1, k)
@@ -204,7 +204,7 @@ def normalize_lemma_id(lemma_id: str) -> str:
 
 
 def _require_neighborly_kbar(m: SimplicialComplex):
-    if not m.facets or not is_pure(m):
+    if m.dim < 0 or not is_pure(m):
         raise LemmaHypothesisError("input must be a non-empty pure complex")
     if not is_neighborly(m):
         raise LemmaHypothesisError("input must be 2-neighborly")
@@ -217,57 +217,44 @@ def _require_neighborly_kbar(m: SimplicialComplex):
     return g
 
 
-def _check_two_connected(m, g, d, n) -> LemmaReport:
+def _check_two_connected(m, g, d, n) -> tuple:
     if is_two_connected(g):
-        return LemmaReport("2.2", True)
-    # Under the hypothesis the facet graph is connected: the facets at a
-    # vertex form the facet graph of its link, a stacked ball and so a tree,
-    # and 2-neighborliness puts any two vertex stars on a common facet.  On a
-    # connected graph the first node whose deletion leaves more than one
+        return True, None
+    # Under the hypothesis the facet graph is connected: each vertex star is
+    # the facet graph of its link (see class_membership), a stacked ball and
+    # so a tree, and 2-neighborliness puts any two stars on a common facet.
+    # On a connected graph the first node whose deletion leaves more than one
     # component is the smallest articulation node, which is cut_node(g).
-    witness = {"articulation_node": cut_node(g), "nu": g.num_nodes}
-    return LemmaReport("2.2", False, witness)
+    return False, {"articulation_node": cut_node(g), "nu": g.num_nodes}
 
 
-def _check_vertex_trees(m, g, d, n) -> LemmaReport:
+def _check_vertex_trees(m, g, d, n) -> tuple:
     expected = n - d
     for v in m.vertices:
         sub = vertex_facet_subgraph(m, v)
         tree = is_tree(sub)
         if sub.num_nodes != expected or not tree:
-            return LemmaReport(
-                "2.3",
-                False,
-                {
-                    "vertex": v,
-                    "num_facets": sub.num_nodes,
-                    "expected": expected,
-                    "is_tree": tree,
-                },
-            )
-    return LemmaReport("2.3", True)
+            return False, {"vertex": v, "num_facets": sub.num_nodes,
+                           "expected": expected, "is_tree": tree}
+    return True, None
 
 
-def _check_counts(m, g, d, n) -> LemmaReport:
+def _check_counts(m, g, d, n) -> tuple:
     nu_ok = g.num_nodes * (d + 1) == n * (n - d)
     eps_ok = g.num_edges * d == n * (n - d - 1)
     if nu_ok and eps_ok:
-        return LemmaReport("2.4", True)
-    return LemmaReport(
-        "2.4",
-        False,
-        {"nu": g.num_nodes, "eps": g.num_edges, "n": n, "d": d},
-    )
+        return True, None
+    return False, {"nu": g.num_nodes, "eps": g.num_edges, "n": n, "d": d}
 
 
-def _check_cycle_bound(m, g, d, n) -> LemmaReport:
-    ok = n >= 2 * d + 1 and ((n == 2 * d + 1) == is_cycle(g))
-    if ok:
-        return LemmaReport("2.5", True)
-    return LemmaReport("2.5", False, {"n": n, "d": d, "cycle": is_cycle(g)})
+def _check_cycle_bound(m, g, d, n) -> tuple:
+    cycle = is_cycle(g)
+    if n >= 2 * d + 1 and (n == 2 * d + 1) == cycle:
+        return True, None
+    return False, {"n": n, "d": d, "cycle": cycle}
 
 
-def _check_path_lemma(m, g, d, n) -> LemmaReport:
+def _check_path_lemma(m, g, d, n) -> tuple:
     if n <= 2 * d + 1:
         raise LemmaHypothesisError(
             f"path lemma needs f0 > {2 * d + 1}, instance has f0 = {n}"
@@ -299,15 +286,14 @@ def _check_path_lemma(m, g, d, n) -> LemmaReport:
                 path.append(nxt)
                 dropped.append(v)
                 if clause:
-                    witness = {"path": path, "dropped": dropped, "clause": clause}
-                    return LemmaReport("2.8", False, witness)
+                    return False, {"path": path, "dropped": dropped, "clause": clause}
                 options = [w for w in g.adjacency[nxt] if w != path[-2]]
                 ahead = len(options) == 1 and options[0] not in path
                 nxt = options[0] if ahead else None
-    return LemmaReport("2.8", True)
+    return True, None
 
 
-def _check_degree_three_cover(m, g, d, n) -> LemmaReport:
+def _check_degree_three_cover(m, g, d, n) -> tuple:
     if d < 4:
         raise LemmaHypothesisError(f"cover corollary needs dimension >= 4, got {d}")
     if n <= 2 * d + 1:
@@ -316,35 +302,33 @@ def _check_degree_three_cover(m, g, d, n) -> LemmaReport:
         )
     t = high_degree_set(g)
     if is_cover(m, t):
-        return LemmaReport("2.9", True)
-    return LemmaReport("2.9", False, {"t": sorted(t)})
+        return True, None
+    return False, {"t": sorted(t)}
 
 
+# lemma id -> check(m, g, d, n), which returns (holds, witness); the id is
+# written here only, and verify_lemma puts it on the report
 _LEMMA_CHECKS = {
-    "2.2": _check_two_connected,
-    "2.3": _check_vertex_trees,
-    "2.4": _check_counts,
-    "2.5": _check_cycle_bound,
-    "2.8": _check_path_lemma,
-    "2.9": _check_degree_three_cover,
+    "2.2": _check_two_connected,  # the facet graph is 2-connected
+    "2.3": _check_vertex_trees,  # each vertex star is a tree of f0 - d facets
+    "2.4": _check_counts,  # the node and edge count formulas
+    "2.5": _check_cycle_bound,  # f0 >= 2d + 1, with equality exactly for a cycle
+    "2.8": _check_path_lemma,  # bounded chain paths of facets
+    "2.9": _check_degree_three_cover,  # the degree->=3 facets cover the vertices
 }
 LEMMA_IDS = tuple(_LEMMA_CHECKS)
 
 
 def verify_lemma(m: SimplicialComplex, lemma_id: str) -> LemmaReport:
-    """Run one registered structural check on a neighborly complex with
-    stacked-ball vertex links.
+    """Run the check registered under ``lemma_id`` on a neighborly complex
+    with stacked-ball vertex links.
 
-    The registry covers: facet-graph 2-connectivity ("2.2"), per-vertex
-    facet trees of size f0-d ("2.3"), the node and edge count formulas
-    ("2.4"), the minimal-f0 cycle characterisation ("2.5"), the bounded
-    chain-path property ("2.8"), and the degree-three cover ("2.9").
     Inputs outside a check's hypothesis raise
     :class:`LemmaHypothesisError`.
     """
     lid = normalize_lemma_id(lemma_id)
     g = _require_neighborly_kbar(m)
-    return _LEMMA_CHECKS[lid](m, g, m.dim, m.num_vertices)
+    return LemmaReport(lid, *_LEMMA_CHECKS[lid](m, g, m.dim, m.num_vertices))
 
 
 # --- isomorphism ------------------------------------------------------------
@@ -506,7 +490,7 @@ def uniqueness_reconstruction(mbar: SimplicialComplex) -> VertexBijection:
     of the matching dimension.  Any failed stage raises
     :class:`ReconstructionFailure` naming it.
     """
-    if not mbar.facets or not is_pure(mbar):
+    if mbar.dim < 0 or not is_pure(mbar):
         raise ReconstructionFailure("purity", "input is not a non-empty pure complex")
     big_d = mbar.dim
     n = mbar.num_vertices
@@ -611,7 +595,7 @@ def theorem_argument_audit(mbar: SimplicialComplex, beta1: int) -> LemmaReport:
     The cover premise is only checkable above the minimal vertex count,
     so it is evaluated exactly when f0 exceeds 2(d+1)+1.
     """
-    if not mbar.facets or not is_pure(mbar):
+    if mbar.dim < 0 or not is_pure(mbar):
         raise PreconditionError("audit requires a non-empty pure complex")
     g = dual_graph(mbar)
     d = mbar.dim - 1

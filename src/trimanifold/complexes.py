@@ -10,32 +10,24 @@ writes the cache.  It wraps these builders:
 - :func:`_vertex_facets`, vertex -> ascending ids of its facets, from
   which the class test also reads the cone over each vertex link;
 - :func:`_neighbours`, vertex -> its neighbours in the 1-skeleton, read
-  by :func:`is_neighborly`, the class-K counts, the bar construction and
-  handle addition;
+  by :func:`is_neighborly`, the class test, the class-K counts, the bar
+  construction and handle addition;
 - :func:`_ridge_incidence`, codimension-one face -> ids of its facets,
   from which :func:`.walkup.class_membership` also reads which vertex
   links are closed; the class test builds no link at all;
 - :func:`.dualgraph.dual_graph`, the facet graph, from the ridge index;
-  its star at a vertex v is the facet graph of lk v, and the class test
-  reads every link's facet graph as such a star;
+  its star at a vertex is the facet graph of the link (see
+  :func:`.walkup.class_membership`);
 - :func:`.walkup.class_membership`, the Walkup class report, whose
   ``peek(x)`` returns the stored report, or None, without building it,
   and whose ``store(x, report)`` records the report that a generator's
   construction proves, so that no class test runs for it;
-- :func:`f_vector`, the face counts, whose ``store`` records the counts
-  that :func:`boundary_complex` reads from f_0 for the boundary of a
-  stacked ball.
+- :func:`f_vector`, the face counts, whose ``store`` records counts
+  known without counting.
 
 Face sets (:func:`faces_of_dim`, the only code that enumerates a face
 level) are built afresh on every call, so that counting faces does not
-keep every level alive.  They are read by :func:`f_vector`, the triangles
-of :func:`.walkup.bar_construction`, the reference
-:func:`.homology.chain_complex` and the homology sweep, one level at the
-start of each round.  :func:`f_vector` takes the counts of a complex
-whose links are all stacked spheres or all stacked balls from f_0 and f_1
-instead (:func:`.walkup._stacked_link_counts`), among them every complex
-of dimension >= 3 that the generators of :mod:`.walkup` build, and
-enumerates nothing for a boundary whose counts are stored.
+keep every level alive; :func:`f_vector` says when it counts them.
 
 This module is the only one that finds the facets at a vertex or across a
 ridge, or the neighbours of a vertex; every other module reads the three
@@ -140,9 +132,9 @@ class SimplicialComplex:
     for internal call sites that guarantee canonical input.  Two complexes
     with equal facet sets compare equal bit for bit.
 
-    The empty complex (no facets at all) is representable and shows up as
-    the boundary of a single simplex; :func:`from_facets` refuses to build
-    it directly.
+    The empty complex (no facets) is the boundary of a simplex, and the
+    empty face alone that of a point; readers answer both alike, as they
+    test for dimension -1.  :func:`from_facets` builds neither.
     """
 
     facets: tuple[Face, ...]
@@ -195,11 +187,11 @@ def _from_canonical(canon: set) -> SimplicialComplex:
     Absorption works through a vertex index.  Faces are taken in groups of
     equal size, largest first; the largest group is kept whole.  A smaller
     face is absorbed when one of the kept larger faces through its rarest
-    vertex contains it, the test of :func:`_facets_containing` on the
-    complex being built.  Testing a face of size k costs k index lookups
-    and at most k steps per kept face through its rarest vertex, so the
-    build is near linear in the input when vertex degrees are bounded; a
-    scan of every larger face would be quadratic.
+    vertex contains it, the test of :func:`link` on the complex being
+    built.  Testing a face of size k costs k index lookups and at most k
+    steps per kept face through its rarest vertex, so the build is near
+    linear in the input when vertex degrees are bounded; a scan of every
+    larger face would be quadratic.
     """
     if not canon:
         raise EmptyComplexError("at least one non-empty face is required")
@@ -259,7 +251,7 @@ def f_vector(x: SimplicialComplex) -> FVector:
     """
     from .walkup import _stacked_link_counts
 
-    if not x.facets:
+    if x.dim < 0:
         return FVector.from_counts(())
     route = _stacked_link_counts(x)
     if route is not None:
@@ -284,12 +276,14 @@ def link(x: SimplicialComplex, alpha: Iterable[int]) -> SimplicialComplex:
     a = _as_face(alpha)
     if not a:
         return x
-    ids = _facets_containing(x, a)
-    if not ids:
-        raise NotAFaceError(f"{a} is not a face")
+    index = _vertex_facets(x)
+    rarest = min((index.get(v, ()) for v in a), key=len)
     # distinct facets through a stay incomparable once a is removed, so the
     # generators are already the link's facets
-    gens = sorted(tuple(v for v in x.facets[i] if v not in a) for i in ids)
+    gens = sorted(tuple(v for v in x.facets[i] if v not in a)
+                  for i in rarest if set(a).issubset(x.facets[i]))
+    if not gens:
+        raise NotAFaceError(f"{a} is not a face")
     if not gens[0]:
         return EMPTY
     return SimplicialComplex(tuple(gens))
@@ -327,14 +321,6 @@ def _neighbours(x: SimplicialComplex) -> dict:
     return nbr
 
 
-def _facets_containing(x: SimplicialComplex, a: Iterable[int]) -> list:
-    """Ascending ids of the facets containing the non-empty vertex set ``a``."""
-    index = _vertex_facets(x)
-    a = set(a)
-    shortest = min((index.get(v, ()) for v in a), key=len)
-    return [i for i in shortest if a.issubset(x.facets[i])]
-
-
 @_memoised
 def _ridge_incidence(x: SimplicialComplex) -> dict:
     """Memoised map from each codimension-one face of a pure complex to its
@@ -348,7 +334,7 @@ def _ridge_incidence(x: SimplicialComplex) -> dict:
 
 def is_weak_pseudomanifold(x: SimplicialComplex) -> bool:
     """Pure, and no codimension-one face lies in more than two facets."""
-    if not x.facets:
+    if x.dim < 0:
         return True
     if not is_pure(x):
         return False
@@ -392,7 +378,7 @@ def boundary_complex(x: SimplicialComplex) -> SimplicialComplex:
     """
     from .walkup import _stacked_counts, is_stacked_ball
 
-    if not x.facets:
+    if x.dim < 0:
         raise PreconditionError("boundary of the empty complex is undefined")
     if not is_weak_pseudomanifold(x):
         raise PreconditionError("input must be a pure weak pseudomanifold")

@@ -88,6 +88,8 @@ def dual_graph(x: SimplicialComplex) -> DualGraph:
     """
     if not is_pure(x):
         raise PreconditionError("dual graph requires a pure complex")
+    if x.dim < 0:  # no facets, or the empty face alone: no node
+        return DualGraph((), ())
     nbrs: list[list[int]] = [[] for _ in x.facets]
     for ids in _ridge_incidence(x).values():
         for a, b in combinations(ids, 2):
@@ -166,8 +168,8 @@ def is_two_connected(g: DualGraph) -> bool:
 def components_minus(g: DualGraph, removed) -> list:
     """Connected components after deleting a node set.
 
-    Each component is sorted; the component list is ordered by smallest
-    member, so the output is deterministic.
+    Each component is sorted.  Each walk starts at the smallest node not
+    yet seen, so the component list is ordered by smallest member.
     """
     removed = set(removed)
     for i in removed:
@@ -187,7 +189,7 @@ def components_minus(g: DualGraph, removed) -> list:
                     comp.append(w)
                     stack.append(w)
         comps.append(sorted(comp))
-    return sorted(comps, key=lambda c: c[0])
+    return comps
 
 
 def high_degree_set(g: DualGraph) -> frozenset:

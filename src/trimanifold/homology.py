@@ -159,7 +159,7 @@ class BettiVector:
 
 def chain_complex(x: SimplicialComplex) -> Z2ChainComplex:
     """Face lists and boundary matrices of ``x`` in every dimension."""
-    if not x.facets:
+    if x.dim < 0:
         raise PreconditionError("chain complex of the empty complex is undefined")
     faces: list[tuple] = []
     index: list[dict] = []
@@ -185,7 +185,7 @@ def _sweep(x: SimplicialComplex, top: int) -> tuple[list[int], list[int]]:
     with r_0 = r_{top+1} = 0, from one clearing sweep over the levels of
     :func:`faces_of_dim` (see the module docstring); d_top itself is
     reduced in full."""
-    if not x.facets:
+    if x.dim < 0:
         raise PreconditionError("chain complex of the empty complex is undefined")
     counts = [x.num_vertices] + [0] * top
     ranks = [0] * (top + 2)
@@ -284,7 +284,7 @@ def is_orientable(m: SimplicialComplex) -> bool:
     facets, facet graph connected.  Returns True when a global
     orientation assignment is consistent across every shared ridge.
     """
-    if not m.facets or not is_weak_pseudomanifold(m):
+    if m.dim < 0 or not is_weak_pseudomanifold(m):
         raise PreconditionError("orientability needs a pure weak pseudomanifold")
     if any(len(ids) == 1 for ids in _ridge_incidence(m).values()):
         raise PreconditionError("orientability check requires a closed complex")

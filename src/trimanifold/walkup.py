@@ -126,7 +126,7 @@ class HandleMap:
 
 def is_stacked_ball(x: SimplicialComplex) -> bool:
     """Tree-shaped facet graph with the minimal vertex count f_0 = f_d + d."""
-    if not x.facets or not is_pure(x):
+    if x.dim < 0 or not is_pure(x):
         return False
     if x.num_vertices != len(x.facets) + x.dim:
         return False
@@ -142,7 +142,7 @@ def is_stacked_sphere(s: SimplicialComplex) -> bool:
     :func:`class_membership` also runs on the cones over the vertex links
     that it knows to be closed.
     """
-    if not s.facets or not is_weak_pseudomanifold(s):
+    if s.dim < 0 or not is_weak_pseudomanifold(s):
         raise PreconditionError("input must be a pure weak pseudomanifold")
     if any(len(ids) == 1 for ids in _ridge_incidence(s).values()):
         raise PreconditionError("input has a non-empty boundary")
@@ -227,12 +227,10 @@ def class_membership(m: SimplicialComplex) -> ClassReport:
     weak pseudomanifold exactly when every ridge of ``m`` through v lies
     in two facets, which one pass over the memoised ridge index of ``m``
     decides for every vertex at once.  Every other link is no stacked
-    sphere.  A closed link is peeled as the cone over it with apex v
-    (:func:`_cone_at`): sigma -> sigma - v maps the facets of ``m``
-    through v onto those of lk v, and those that also hold w onto the
-    star of w in lk v, so the cone peels exactly when lk v does (see
-    :func:`_peels_to_simplex_boundary`).  For d = 0 every link is empty
-    and fails class K.
+    sphere.  A closed link is peeled as the cone over it with apex v, the
+    facets of ``m`` through v (:func:`_cone_at`), which peels exactly
+    when lk v does (see :func:`_peels_to_simplex_boundary`).  For d = 0
+    every link is empty and fails class K.
 
     Two facets sigma - v and tau - v of lk v share a ridge exactly when
     sigma and tau share one: both hold v, so sigma - v and tau - v meet in
@@ -246,20 +244,20 @@ def class_membership(m: SimplicialComplex) -> ClassReport:
     all ask for it classify the links once; a precondition error is
     raised again on every call.
     """
-    if not m.facets or not is_pure(m):
+    if not is_pure(m) or m.dim < 0:
         raise PreconditionError("class membership requires a non-empty pure complex")
     open_at = {
         v for ridge, ids in _ridge_incidence(m).items() if len(ids) != 2
         for v in ridge
     }
-    d, facets = m.dim, m.facets
+    d, nbr = m.dim, _neighbours(m)
     k_fail = next((
         v for v in m.vertices
         if d < 1 or v in open_at or not _peels_to_simplex_boundary(*_cone_at(m, v), v)
     ), None)
     kbar_fail = next((
         v for v, ids in _vertex_facets(m).items()
-        if d < 1 or len(set().union(*(facets[i] for i in ids))) != len(ids) + d
+        if d < 1 or len(nbr[v]) != len(ids) + d - 1
         or not is_tree(vertex_facet_subgraph(m, v))
     ), None)
     return ClassReport(k_fail, kbar_fail)

@@ -26,7 +26,6 @@ from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
-from trimanifold.analysis import LemmaReport
 from trimanifold.complexes import (
     EMPTY,
     SimplicialComplex,
@@ -328,9 +327,10 @@ def first_cut_by_deletion(g):
     )
 
 
-def path_lemma_by_prefixes(g, d: int) -> LemmaReport:
+def path_lemma_by_prefixes(g, d: int) -> tuple:
     """Lemma 2.8 on every prefix of every chain path, each prefix checked
-    from scratch, in start-edge order and then by length."""
+    from scratch, in start-edge order and then by length; returns
+    ``(holds, witness)`` as the registered check does."""
     deg = [len(a) for a in g.adjacency]
     paths = []
     for u0 in range(g.num_nodes):
@@ -352,14 +352,14 @@ def path_lemma_by_prefixes(g, d: int) -> LemmaReport:
         witness = {"path": list(path), "dropped": dropped}
         if len(set(dropped)) != len(dropped):
             witness["clause"] = "repeated dropped vertex"
-            return LemmaReport("2.8", False, witness)
+            return False, witness
         if not all(x in g.facets[path[0]] for x in dropped):
             witness["clause"] = "dropped vertex outside first facet"
-            return LemmaReport("2.8", False, witness)
+            return False, witness
         if len(path) - 1 > d + 1:
             witness["clause"] = "path too long"
-            return LemmaReport("2.8", False, witness)
-    return LemmaReport("2.8", True)
+            return False, witness
+    return True, None
 
 
 def peel_stacked_ball(x: SimplicialComplex) -> bool:

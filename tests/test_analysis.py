@@ -183,10 +183,12 @@ def test_two_connected_lemma_names_the_smallest_cut_node():
         [(i,) for i in range(6)],
         [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 5)],
     )
-    report = _check_two_connected(None, g, 2, 6)
-    assert report.lemma_id == "2.2"
-    assert not report.holds
-    assert report.witness == {"articulation_node": 2, "nu": 6}
+    holds, witness = _check_two_connected(None, g, 2, 6)
+    assert not holds
+    assert witness == {"articulation_node": 2, "nu": 6}
+    # the check returns no id; verify_lemma names the report by its key
+    for lid in ("2.2", "2.3", "2.4", "2.5"):
+        assert verify_lemma(kuehnel_solid(3), lid).lemma_id == lid
 
 
 def test_path_lemma_against_prefix_oracle():
@@ -202,9 +204,9 @@ def test_path_lemma_against_prefix_oracle():
     for x in cases:
         g = dual_graph(x)
         for d in range(x.dim + 3):
-            report = _check_path_lemma(x, g, d, 10**6)
-            assert report == helpers.path_lemma_by_prefixes(g, d), (x, d)
-            verdicts[report.witness["clause"] if report.witness else None] += 1
+            holds, witness = _check_path_lemma(x, g, d, 10**6)
+            assert (holds, witness) == helpers.path_lemma_by_prefixes(g, d), (x, d)
+            verdicts[witness["clause"] if witness else None] += 1
     assert verdicts[None] and verdicts["dropped vertex outside first facet"]
     assert verdicts["path too long"]
     # no complex above drops a vertex twice along a chain; a hand-built
@@ -212,9 +214,9 @@ def test_path_lemma_against_prefix_oracle():
     g = helpers.graph_from_edges(
         [(0, 1), (1, 2), (0, 2), (2, 3)], [(0, 1), (1, 2), (2, 3)]
     )
-    report = _check_path_lemma(None, g, 3, 10**6)
-    assert report == helpers.path_lemma_by_prefixes(g, 3)
-    assert report.witness == {
+    holds, witness = _check_path_lemma(None, g, 3, 10**6)
+    assert (holds, witness) == helpers.path_lemma_by_prefixes(g, 3)
+    assert witness == {
         "path": [0, 1, 2, 3], "dropped": [0, 1, 0], "clause": "repeated dropped vertex"
     }
 

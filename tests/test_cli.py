@@ -200,6 +200,50 @@ _VERIFY_BYTES = (
     '}\n'
 )
 
+# every registered lemma on the 4-dimensional cyclic solid: four hold, and
+# the cyclic solid sits at f0 = 2 dim + 1, below the hypotheses of 2.8 and 2.9
+_ALL_LEMMAS_BYTES = (
+    '{\n'
+    '  "instance": "t.fct",\n'
+    '  "checks": [\n'
+    '    {\n'
+    '      "id": "lemma-2.2",\n'
+    '      "holds": true,\n'
+    '      "witness": null\n'
+    '    },\n'
+    '    {\n'
+    '      "id": "lemma-2.3",\n'
+    '      "holds": true,\n'
+    '      "witness": null\n'
+    '    },\n'
+    '    {\n'
+    '      "id": "lemma-2.4",\n'
+    '      "holds": true,\n'
+    '      "witness": null\n'
+    '    },\n'
+    '    {\n'
+    '      "id": "lemma-2.5",\n'
+    '      "holds": true,\n'
+    '      "witness": null\n'
+    '    },\n'
+    '    {\n'
+    '      "id": "lemma-2.8",\n'
+    '      "holds": false,\n'
+    '      "witness": {\n'
+    '        "hypothesis_error": "path lemma needs f0 > 11, instance has f0 = 11"\n'
+    '      }\n'
+    '    },\n'
+    '    {\n'
+    '      "id": "lemma-2.9",\n'
+    '      "holds": false,\n'
+    '      "witness": {\n'
+    '        "hypothesis_error": "cover corollary needs f0 > 11, instance has f0 = 11"\n'
+    '      }\n'
+    '    }\n'
+    '  ]\n'
+    '}\n'
+)
+
 # neighborly on five vertices; lk 0 is the path 3-2-1-4, a stacked ball but
 # no sphere, and lk 1 is a triangle with a pendant edge, neither
 FIVE_VERTICES = from_facets([(0, 1, 2), (0, 1, 4), (0, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
@@ -248,6 +292,8 @@ _HYPOTHESIS_BYTES = (
     [
         (helpers.simplex(2), ["check", "t.fct", "--checks", "pure"], 0, _CHECK_BYTES),
         (kuehnel_solid(2), ["verify", "t.fct", "--lemmas", "2.4,2.8"], 1, _VERIFY_BYTES),
+        (kuehnel_solid(4), ["verify", "t.fct", "--lemmas", "2.2,2.3,2.4,2.5,2.8,2.9"], 1,
+         _ALL_LEMMAS_BYTES),
         # each class names its own first failing vertex
         (FIVE_VERTICES, ["check", "t.fct", "--checks", "class-k,class-kbar"], 1,
          _CLASS_BYTES),
@@ -255,7 +301,7 @@ _HYPOTHESIS_BYTES = (
          _CONE_BYTES),
         (FIVE_VERTICES, ["verify", "t.fct", "--lemmas", "2.4"], 1, _HYPOTHESIS_BYTES),
     ],
-    ids=["check", "verify", "check-class-witnesses", "check-cone-witnesses",
+    ids=["check", "verify", "verify-every-lemma", "check-class-witnesses", "check-cone-witnesses",
          "verify-class-witness"],
 )
 def test_check_json_golden_bytes(capsys, tmp_path, monkeypatch, x, argv, want_code, want):

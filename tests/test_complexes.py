@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 
 import helpers
 from helpers import VertexClashError
+from trimanifold.analysis import tight_neighborly_check
 from trimanifold.complexes import (
     EMPTY,
     SimplicialComplex,
@@ -22,13 +23,21 @@ from trimanifold.complexes import (
     link,
     relabel_vertices,
 )
+from trimanifold.dualgraph import dual_graph
 from trimanifold.errors import (
     DimensionRangeError,
     EmptyComplexError,
     NotAFaceError,
     PreconditionError,
 )
-from trimanifold.walkup import kuehnel_solid, kuehnel_torus
+from trimanifold.homology import betti_z2, chain_complex
+from trimanifold.walkup import (
+    class_membership,
+    is_stacked_ball,
+    is_stacked_sphere,
+    kuehnel_solid,
+    kuehnel_torus,
+)
 
 
 def test_from_facets_canonicalizes():
@@ -326,6 +335,26 @@ def test_boundary_requires_weak_pseudomanifold():
         boundary_complex(from_facets([(0, 1, 2), (0, 1, 3), (0, 1, 4)]))
     with pytest.raises(PreconditionError):
         boundary_complex(EMPTY)
+
+
+def _answer(reader, x):
+    """What ``reader`` returns on ``x``, or the class and message it raises."""
+    try:
+        return reader(x)
+    except Exception as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("reader", [
+    f_vector, betti_z2, chain_complex, tight_neighborly_check,
+    is_weak_pseudomanifold, is_pseudomanifold, dual_graph, class_membership,
+    boundary_complex, is_stacked_ball, is_stacked_sphere,
+], ids=lambda reader: reader.__name__)
+def test_the_empty_face_alone_is_answered_as_the_empty_complex(reader):
+    # the boundary of a point: no vertex, and dimension -1 as for EMPTY
+    empty_face = boundary_complex(from_facets([(0,)]))
+    assert empty_face == SimplicialComplex(((),)) and empty_face.dim == -1
+    assert _answer(reader, empty_face) == _answer(reader, EMPTY)
 
 
 def test_boundary_of_stacked_ball_is_sphere_sized():

@@ -121,6 +121,19 @@ def test_cut_node_against_deletion_oracle(g):
     assert is_two_connected(g) == helpers.two_connected_by_deletion(g)
 
 
+@given(connected_graphs(), st.data())
+def test_components_minus_partitions_the_kept_nodes_in_order(g, data):
+    removed = data.draw(st.sets(st.integers(0, g.num_nodes - 1)))
+    comps = components_minus(g, removed)
+    kept = [i for i in range(g.num_nodes) if i not in removed]
+    assert sorted(i for c in comps for i in c) == kept
+    assert all(c and c == sorted(c) for c in comps)
+    firsts = [c[0] for c in comps]
+    assert firsts == sorted(firsts)
+    where = {i: k for k, c in enumerate(comps) for i in c}
+    assert all(where[i] == where[j] for i in kept for j in g.adjacency[i] if j in where)
+
+
 def test_two_connected_small_graphs():
     one = helpers.graph_from_edges(((0, 1),), [])
     assert not is_two_connected(one)
