@@ -512,7 +512,7 @@ def uniqueness_reconstruction(mbar: SimplicialComplex) -> VertexBijection:
     position = {node: p for p, node in enumerate(ring)}
     arc_len = big_d + 1
     end_of: dict[int, int] = {}
-    for v, ids in sorted(_vertex_facets(mbar).items()):
+    for v, ids in _vertex_facets(mbar).items():
         positions = {position[i] for i in ids}
         if len(positions) != arc_len:
             raise ReconstructionFailure(

@@ -29,11 +29,12 @@ Face sets (:func:`faces_of_dim`, the only code that enumerates a face
 level) are built afresh on every call, so that counting faces does not
 keep every level alive; :func:`f_vector` says when it counts them.
 
-This module is the only one that finds the facets at a vertex or across a
-ridge, or the neighbours of a vertex; every other module reads the three
-indices.  Vertex labels are arbitrary non-negative integers and survive
-every operation unchanged; algorithms that want dense indices build a
-local relabelling.
+This module is the only one that indexes the facets at a vertex or across
+a ridge, or the neighbours of a vertex; every other module reads the three
+indices, save the peel of :mod:`.walkup`, which keeps its own consumable
+star map of the facets it is handed.  Vertex labels are arbitrary
+non-negative integers and survive every operation unchanged; algorithms
+that want dense indices build a local relabelling.
 
 All arithmetic is exact.  Python integers are unbounded, so the counting
 identities checked elsewhere in the package cannot silently overflow.
@@ -132,9 +133,10 @@ class SimplicialComplex:
     for internal call sites that guarantee canonical input.  Two complexes
     with equal facet sets compare equal bit for bit.
 
-    The empty complex (no facets) is the boundary of a simplex, and the
-    empty face alone that of a point; readers answer both alike, as they
-    test for dimension -1.  :func:`from_facets` builds neither.
+    The empty complex (no facets) is the boundary of a closed complex and
+    the link of a facet, and the empty face alone is the boundary of a
+    point; readers answer both alike, as they test for dimension -1.
+    :func:`from_facets` builds neither.
     """
 
     facets: tuple[Face, ...]
@@ -291,10 +293,7 @@ def link(x: SimplicialComplex, alpha: Iterable[int]) -> SimplicialComplex:
 
 def is_pure(x: SimplicialComplex) -> bool:
     """True when every facet has the top dimension."""
-    if not x.facets:
-        return True
-    d = len(x.facets[0])
-    return all(len(f) == d for f in x.facets)
+    return len(set(map(len, x.facets))) < 2
 
 
 @_memoised
@@ -396,8 +395,11 @@ def boundary_complex(x: SimplicialComplex) -> SimplicialComplex:
 
 
 def relabel_vertices(x: SimplicialComplex, mapping: dict) -> SimplicialComplex:
-    """Apply an injective vertex relabelling to every facet."""
-    targets = {mapping[v] for v in x.vertices}
+    """Apply an injective relabelling to every facet, or raise ValueError."""
+    try:
+        targets = {mapping[v] for v in x.vertices}
+    except KeyError as missing:
+        raise ValueError(f"mapping has no image for vertex {missing}") from None
     if len(targets) != len(x.vertices):
         raise ValueError("mapping is not injective on the vertex set")
     return from_facets(tuple(mapping[v] for v in f) for f in x.facets)

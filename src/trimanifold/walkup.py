@@ -146,21 +146,16 @@ def is_stacked_sphere(s: SimplicialComplex) -> bool:
         raise PreconditionError("input must be a pure weak pseudomanifold")
     if any(len(ids) == 1 for ids in _ridge_incidence(s).values()):
         raise PreconditionError("input has a non-empty boundary")
-    return _peels_to_simplex_boundary(
-        set(s.facets),
-        {v: {s.facets[i] for i in ids} for v, ids in _vertex_facets(s).items()},
-    )
+    return _peels_to_simplex_boundary(s.facets)
 
 
-def _peels_to_simplex_boundary(facets: set, stars: dict, apex: int | None = None) -> bool:
+def _peels_to_simplex_boundary(facets, apex: int | None = None) -> bool:
     """Peel a pure closed weak pseudomanifold, or the cone over one, and
     report whether it ends at the boundary of a simplex.
 
-    ``facets`` is the set of facets, as vertex tuples, and ``stars`` maps
-    each vertex that may be peeled to the set of its facets; both are
-    consumed.  Without ``apex`` they describe the complex S itself.  With
-    it they describe the cone over S with that apex: every facet holds the
-    apex, which is never peeled and has no entry in ``stars``.
+    ``facets`` is a sequence of vertex tuples: the facets of the complex S
+    or, with ``apex``, of the cone over S, whose apex is never peeled.  It
+    is only read; the peel works on its own facet set and star map.
 
     A worklist holds the vertices to try, first all of them.  A vertex v
     of S is peeled when its star has d + 1 facets, their other vertices
@@ -190,6 +185,12 @@ def _peels_to_simplex_boundary(facets: set, stars: dict, apex: int | None = None
     True as soon as d + 2 facets are left, and False when the worklist
     runs out before.
     """
+    stars = defaultdict(set)
+    for f in facets:
+        for w in f:
+            stars[w].add(f)
+    stars.pop(apex, None)
+    facets = set(facets)
     size = len(next(iter(facets)))  # vertices of a facet, and of a hull
     star_size = size - (apex is not None)  # d + 1
     todo = list(stars)
@@ -228,8 +229,8 @@ def class_membership(m: SimplicialComplex) -> ClassReport:
     in two facets, which one pass over the memoised ridge index of ``m``
     decides for every vertex at once.  Every other link is no stacked
     sphere.  A closed link is peeled as the cone over it with apex v, the
-    facets of ``m`` through v (:func:`_cone_at`), which peels exactly
-    when lk v does (see :func:`_peels_to_simplex_boundary`).  For d = 0
+    facets of ``m`` through v, which peels exactly when lk v does (see
+    :func:`_peels_to_simplex_boundary`).  For d = 0
     every link is empty and fails class K.
 
     Two facets sigma - v and tau - v of lk v share a ridge exactly when
@@ -250,30 +251,17 @@ def class_membership(m: SimplicialComplex) -> ClassReport:
         v for ridge, ids in _ridge_incidence(m).items() if len(ids) != 2
         for v in ridge
     }
-    d, nbr = m.dim, _neighbours(m)
+    d, nbr, vf, facets = m.dim, _neighbours(m), _vertex_facets(m), m.facets
     k_fail = next((
-        v for v in m.vertices
-        if d < 1 or v in open_at or not _peels_to_simplex_boundary(*_cone_at(m, v), v)
+        v for v, ids in vf.items() if d < 1 or v in open_at
+        or not _peels_to_simplex_boundary([facets[i] for i in ids], v)
     ), None)
     kbar_fail = next((
-        v for v, ids in _vertex_facets(m).items()
+        v for v, ids in vf.items()
         if d < 1 or len(nbr[v]) != len(ids) + d - 1
         or not is_tree(vertex_facet_subgraph(m, v))
     ), None)
     return ClassReport(k_fail, kbar_fail)
-
-
-def _cone_at(m: SimplicialComplex, v: int) -> tuple[set, dict]:
-    """The facets of ``m`` through ``v``, and the star in them of every
-    other vertex: the cone over lk v with apex v, ready to peel."""
-    facets = m.facets
-    star = [facets[i] for i in _vertex_facets(m)[v]]
-    stars = defaultdict(set)
-    for f in star:
-        for w in f:
-            stars[w].add(f)
-    del stars[v]
-    return set(star), stars
 
 
 # bound once, so that code which rebinds class_membership with a plain

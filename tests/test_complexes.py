@@ -373,6 +373,11 @@ def test_relabel_vertices():
         relabel_vertices(x, {0: 1, 1: 1, 2: 2})
     with pytest.raises(ValueError, match="'a'"):
         relabel_vertices(x, {0: "a", 1: 2, 2: 3})
+    # a vertex without an image is named, the first in ascending order
+    with pytest.raises(ValueError, match="^mapping has no image for vertex 2$"):
+        relabel_vertices(x, {0: 5, 1: 6})
+    with pytest.raises(ValueError, match="^mapping has no image for vertex 0$"):
+        relabel_vertices(x, {2: 5})
 
 
 def _neighborly_by_enumeration(x):

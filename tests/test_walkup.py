@@ -1,6 +1,7 @@
 import hashlib
 import random
 import tracemalloc
+from collections import defaultdict
 from itertools import combinations, product
 from math import comb
 from time import perf_counter
@@ -174,6 +175,16 @@ def test_stacked_sphere_recognition_has_no_size_cliff():
     assert dt < 5.0, f"is_stacked_sphere took {dt:.2f} s, budget 5 s"
 
 
+def test_stacked_sphere_builds_no_vertex_index():
+    # the peel builds its own star map from the facets, so a fresh complex
+    # caches no vertex -> facets index, whatever the answer
+    stacked = boundary_complex(random_stacked_ball(3, 40, seed=2))
+    for x, answer in ((stacked, True), (OCTAHEDRON, False)):
+        fresh = SimplicialComplex(x.facets)
+        assert is_stacked_sphere(fresh) == answer
+        assert "_vertex_facets" not in fresh._face_cache
+
+
 def test_stacked_sphere_needs_a_closed_input():
     with pytest.raises(PreconditionError, match="^input has a non-empty boundary$"):
         is_stacked_sphere(helpers.path_ball(3, 6))
@@ -217,11 +228,11 @@ def test_class_membership_reports_a_failure_after_a_passing_vertex():
     assert class_membership(CROSS_STACKED) == ClassReport(10, 0)
 
 
-class _TriedLog(dict):
+class _TriedLog(defaultdict):
     """A star map that records every vertex the peel tries."""
 
-    def __init__(self, stars):
-        super().__init__(stars)
+    def __init__(self, factory):
+        super().__init__(factory)
         self.tried = []
 
     def get(self, v, default=None):
@@ -230,14 +241,27 @@ class _TriedLog(dict):
 
 
 def _logged_peels():
+    # each peel builds its star map as walkup's defaultdict, which the log
+    # swaps for a _TriedLog while that peel runs
     logs = []
     real = walkup._peels_to_simplex_boundary
 
-    def logged(facets, stars, apex=None):
-        logs.append((apex, _TriedLog(stars)))
-        return real(facets, logs[-1][1], apex)
+    def logged(facets, apex=None):
+        log = _TriedLog(set)
+        logs.append((apex, log))
+        with mock.patch.object(walkup, "defaultdict", lambda factory: log):
+            return real(facets, apex)
 
     return logs, mock.patch.object(walkup, "_peels_to_simplex_boundary", logged)
+
+
+def test_the_peel_log_records_the_tries_of_a_peel_that_runs():
+    # the two tests below see no try; this one shows that the log would
+    logs, patch = _logged_peels()
+    with patch:
+        assert is_stacked_sphere(boundary_complex(helpers.path_ball(3, 6)))
+    [(apex, log)] = logs
+    assert apex is None and log.tried
 
 
 @pytest.mark.parametrize("d", range(6))
@@ -373,7 +397,7 @@ def test_class_membership_reads_closed_links_from_the_ambient_ridge_index(make, 
     # apex first vertex first; an open one fails K at a vertex on its
     # boundary before any peel
     assert not built.called
-    assert [call.args[2] for call in peels.call_args_list] == (
+    assert [call.args[1] for call in peels.call_args_list] == (
         list(x.vertices) if closed else [])
     # one index, the ambient one, read once and kept
     assert ridges.call_count == 1 and ridges.call_args.args[0] is x
