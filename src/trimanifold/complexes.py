@@ -15,9 +15,13 @@ writes the cache.  It wraps these builders:
 - :func:`_ridge_incidence`, codimension-one face -> ids of its facets,
   from which :func:`.walkup.class_membership` also reads which vertex
   links are closed; the class test builds no link at all;
-- :func:`.dualgraph.dual_graph`, the facet graph, from the ridge index;
-  its star at a vertex is the facet graph of the link (see
-  :func:`.walkup.class_membership`);
+- :func:`_facet_graph_counts`, the edge and component counts of the
+  facet graph, from the ridge index with no graph built, read by
+  :func:`is_pseudomanifold`, :func:`.walkup.is_stacked_ball`, the
+  class-K Betti route and :func:`.homology.beta1_dual_formula`;
+- :func:`.dualgraph.dual_graph`, the facet graph, from the ridge index,
+  for code that reads adjacency; its star at a vertex is the facet graph
+  of the link (see :func:`.walkup.class_membership`);
 - :func:`.walkup.class_membership`, the Walkup class report, whose
   ``peek(x)`` returns the stored report, or None, without building it,
   and whose ``store(x, report)`` records the report that a generator's
@@ -331,6 +335,40 @@ def _ridge_incidence(x: SimplicialComplex) -> dict:
     return ridges
 
 
+@_memoised
+def _facet_graph_counts(x: SimplicialComplex) -> tuple[int, int]:
+    """Memoised ``(edges, components)`` of the facet graph of a pure
+    complex, from one pass over the ridge index, with no graph built.
+
+    Two distinct facets of one size share at most one ridge, so a ridge
+    in k facets brings C(k, 2) edges of its own.  Components are counted
+    by union-find with path halving, each ridge's facets united with its
+    first, so the cost is linear in the index however many facets share
+    a ridge.  Impure input raises as :func:`.dualgraph.dual_graph` does.
+    """
+    if not is_pure(x):
+        raise PreconditionError("dual graph requires a pure complex")
+    if x.dim < 0:  # no facets, or the empty face alone: no node
+        return 0, 0
+    parent = list(range(len(x.facets)))
+    edges = merges = 0
+    for ids in _ridge_incidence(x).values():
+        k = len(ids)
+        if k < 2:
+            continue
+        edges += k * (k - 1) // 2
+        root = ids[0]
+        while parent[root] != root:
+            parent[root] = root = parent[parent[root]]
+        for other in ids[1:]:
+            while parent[other] != other:
+                parent[other] = other = parent[parent[other]]
+            if other != root:
+                parent[other] = root
+                merges += 1
+    return edges, len(parent) - merges
+
+
 def is_weak_pseudomanifold(x: SimplicialComplex) -> bool:
     """Pure, and no codimension-one face lies in more than two facets."""
     if x.dim < 0:
@@ -342,11 +380,7 @@ def is_weak_pseudomanifold(x: SimplicialComplex) -> bool:
 
 def is_pseudomanifold(x: SimplicialComplex) -> bool:
     """Weak pseudomanifold whose facet adjacency graph is connected."""
-    from .dualgraph import dual_graph, is_connected
-
-    if not is_weak_pseudomanifold(x):
-        return False
-    return is_connected(dual_graph(x))
+    return is_weak_pseudomanifold(x) and _facet_graph_counts(x)[1] == 1
 
 
 def boundary_complex(x: SimplicialComplex) -> SimplicialComplex:

@@ -2,10 +2,14 @@
 
 Nodes are dense ids 0..nu-1 in canonical facet order; an edge joins two
 facets exactly when they share a codimension-one face.  The graph is one
-adjacency table, a sorted tuple of neighbour ids per node, and every
-question about it (counts, connectivity, articulation nodes, induced
-subgraphs, DOT text) is answered from that table.  The facet table rides
-along so callers can translate ids back to vertex sets.
+adjacency table, a sorted tuple of neighbour ids per node, built for code
+that reads adjacency: articulation nodes, induced subgraphs, sign walks,
+DOT text.  Connectivity and tree questions about a whole complex are
+answered from its edge and component counts,
+:func:`.complexes._facet_graph_counts`, with no graph built;
+:func:`is_connected` and :func:`is_tree` answer them for a graph in hand,
+such as a vertex star.  The facet table rides along so callers can
+translate ids back to vertex sets.
 """
 
 from __future__ import annotations

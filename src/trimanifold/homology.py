@@ -68,7 +68,13 @@ from itertools import combinations
 from math import comb
 from operator import itemgetter
 
-from .complexes import SimplicialComplex, _ridge_incidence, faces_of_dim, is_weak_pseudomanifold
+from .complexes import (
+    SimplicialComplex,
+    _facet_graph_counts,
+    _ridge_incidence,
+    faces_of_dim,
+    is_weak_pseudomanifold,
+)
 from .dualgraph import DualGraph, dual_graph, is_connected
 from .errors import PreconditionError
 from .walkup import _stacked_link_counts
@@ -228,7 +234,7 @@ def _class_k_beta1(x: SimplicialComplex) -> int | None:
     :func:`.walkup._stacked_link_counts`, and a connected facet graph.  A
     remainder raises AssertionError."""
     route = _stacked_link_counts(x)
-    if route is None or not route[0] or not is_connected(dual_graph(x)):
+    if route is None or not route[0] or _facet_graph_counts(x)[1] != 1:
         return None
     f = route[1]
     step = comb(len(f) + 1, 2)  # C(d+2, 2)
@@ -271,10 +277,10 @@ def beta1_dual_formula(x: SimplicialComplex) -> int:
     this package studies; the caller picks instances where that reading
     is meaningful.
     """
-    g = dual_graph(x)
-    if not is_connected(g):
+    edges, components = _facet_graph_counts(x)
+    if components != 1:
         raise PreconditionError("dual graph must be connected")
-    return g.num_edges - g.num_nodes + 1
+    return edges - len(x.facets) + 1
 
 
 def is_orientable(m: SimplicialComplex) -> bool:

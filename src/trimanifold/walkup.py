@@ -34,6 +34,7 @@ from .complexes import (
     Face,
     SimplicialComplex,
     _as_face,
+    _facet_graph_counts,
     _from_canonical,
     _memoised,
     _neighbours,
@@ -45,7 +46,7 @@ from .complexes import (
     is_pure,
     is_weak_pseudomanifold,
 )
-from .dualgraph import dual_graph, is_tree, vertex_facet_subgraph
+from .dualgraph import is_tree, vertex_facet_subgraph
 from .errors import InadmissibleHandleError, PreconditionError
 
 __all__ = [
@@ -125,12 +126,13 @@ class HandleMap:
 
 
 def is_stacked_ball(x: SimplicialComplex) -> bool:
-    """Tree-shaped facet graph with the minimal vertex count f_0 = f_d + d."""
+    """Tree-shaped facet graph, one component with f_d - 1 edges, and the
+    minimal vertex count f_0 = f_d + d."""
     if x.dim < 0 or not is_pure(x):
         return False
     if x.num_vertices != len(x.facets) + x.dim:
         return False
-    return is_tree(dual_graph(x))
+    return _facet_graph_counts(x) == (len(x.facets) - 1, 1)
 
 
 def is_stacked_sphere(s: SimplicialComplex) -> bool:

@@ -581,7 +581,7 @@ def test_verify_runs_class_membership_once(capsys, tmp_path, monkeypatch):
 
 
 _BUILDERS = {"dim", "vertices", "_vertex_facets", "_neighbours", "_ridge_incidence",
-             "dual_graph", "class_membership"}
+             "_facet_graph_counts", "dual_graph", "class_membership"}
 
 
 @pytest.mark.parametrize("make", [kuehnel_torus, kuehnel_solid])
@@ -648,6 +648,45 @@ def test_the_boundary_of_a_stacked_ball_enumerates_no_face_level(capsys, tmp_pat
     assert levels == []
     assert out == "dim 4 f-vector 2005 10010 20010 20005 8002 euler 2\n"
     assert dt < 1.5, f"boundary of a 2000-facet stacked 5-ball took {dt:.2f} s"
+
+
+def test_connectivity_and_tree_tests_build_no_facet_graph(capsys, tmp_path, monkeypatch):
+    # pm and stacked-ball read the edge and component counts of the ridge
+    # index; only readers of adjacency build the graph
+    read = []
+    real = fct.read_fct
+    monkeypatch.setattr(fct, "read_fct", lambda p: read.append(real(p)) or read[-1])
+    path = tmp_path / "b.fct"
+    fct.write_fct(random_stacked_ball(3, 200, seed=3), path)
+    code, out, err = run(capsys, "check", str(path), "--checks", "pure,pm,stacked-ball")
+    assert code == 0, err
+    assert [c["holds"] for c in json.loads(out)["checks"]] == [True, True, True]
+    code, _, err = run(capsys, "boundary", str(path), "-o", str(tmp_path / "s.fct"))
+    assert code == 0, err
+    assert len(read) == 2
+    for x in read:
+        assert "_facet_graph_counts" in x._face_cache
+        assert "dual_graph" not in x._face_cache
+
+
+def test_facet_graph_counts_have_no_size_cliff(capsys, tmp_path):
+    # a book of m triangles on one edge, and m points on the empty ridge,
+    # pass the f_0 test of stacked-ball; their complete facet graphs took
+    # 1.46 s at m = 4000 and 71 s for the cycle rank of a 20000-page book
+    # (Python 3.11, 2-vCPU host)
+    m = 20000
+    book = from_facets((0, 1, i) for i in range(2, m + 2))
+    points = from_facets((i,) for i in range(m))
+    t0 = time.perf_counter()
+    for i, x in enumerate((book, points)):
+        path = tmp_path / f"{i}.fct"
+        fct.write_fct(x, path)
+        code, out, err = run(capsys, "check", str(path), "--checks", "stacked-ball")
+        assert code == 1, err
+        assert json.loads(out)["checks"][0]["holds"] is False
+    assert trimanifold.homology.beta1_dual_formula(book) == m * (m - 1) // 2 - m + 1
+    dt = time.perf_counter() - t0
+    assert dt < 2.0, f"book and points took {dt:.2f} s, budget 2 s"
 
 
 @pytest.mark.parametrize("collecting", [True, False])

@@ -11,6 +11,7 @@ from trimanifold.analysis import tight_neighborly_check
 from trimanifold.complexes import (
     EMPTY,
     SimplicialComplex,
+    _facet_graph_counts,
     _vertex_facets,
     boundary_complex,
     f_vector,
@@ -30,7 +31,7 @@ from trimanifold.errors import (
     NotAFaceError,
     PreconditionError,
 )
-from trimanifold.homology import betti_z2, chain_complex
+from trimanifold.homology import beta1_dual_formula, betti_z2, chain_complex
 from trimanifold.walkup import (
     class_membership,
     is_stacked_ball,
@@ -347,8 +348,9 @@ def _answer(reader, x):
 
 @pytest.mark.parametrize("reader", [
     f_vector, betti_z2, chain_complex, tight_neighborly_check,
-    is_weak_pseudomanifold, is_pseudomanifold, dual_graph, class_membership,
-    boundary_complex, is_stacked_ball, is_stacked_sphere,
+    is_weak_pseudomanifold, is_pseudomanifold, dual_graph, _facet_graph_counts,
+    beta1_dual_formula, class_membership, boundary_complex, is_stacked_ball,
+    is_stacked_sphere,
 ], ids=lambda reader: reader.__name__)
 def test_the_empty_face_alone_is_answered_as_the_empty_complex(reader):
     # the boundary of a point: no vertex, and dimension -1 as for EMPTY

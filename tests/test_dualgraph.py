@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import helpers
-from trimanifold.complexes import boundary_complex, from_facets, is_pure
+from trimanifold.complexes import (
+    EMPTY,
+    SimplicialComplex,
+    _facet_graph_counts,
+    boundary_complex,
+    from_facets,
+    is_pure,
+)
 from trimanifold.dualgraph import (
     components_minus,
     cut_node,
@@ -20,7 +27,12 @@ from trimanifold.dualgraph import (
     vertex_facet_subgraph,
 )
 from trimanifold.errors import PreconditionError, UnknownNodeError
-from trimanifold.walkup import kuehnel_solid, random_stacked_ball
+from trimanifold.walkup import (
+    is_stacked_ball,
+    kuehnel_solid,
+    kuehnel_torus,
+    random_stacked_ball,
+)
 
 
 def test_solid_dual_is_a_cycle():
@@ -67,6 +79,56 @@ def test_adjacency_matches_brute_force(x):
         for i in range(len(x.facets))
     )
     assert g.num_edges == len(pairs)
+
+
+def _counts_or_error(count, x):
+    """``count`` on a fresh copy of ``x``, with nothing memoised, or the
+    class and message it raises."""
+    try:
+        return count(SimplicialComplex(x.facets))
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _counts_by_graph(x):
+    g = dual_graph(x)
+    return g.num_edges, len(components_minus(g, ()))
+
+
+def _assert_counts_match_the_graph(x):
+    assert _counts_or_error(_facet_graph_counts, x) == _counts_or_error(_counts_by_graph, x)
+
+
+@given(helpers.small_complexes())
+def test_facet_graph_counts_match_the_graph(x):
+    # impure input raises the class and message of dual_graph
+    _assert_counts_match_the_graph(x)
+
+
+def test_facet_graph_counts_match_the_graph_on_the_families():
+    ball = random_stacked_ball(4, 30, seed=5)
+    # f0 = f_d + d and f_d - 1 edges, as the solid has as many vertices as
+    # facets and a cycle for its facet graph, yet two components
+    beside = from_facets(ball.facets + helpers.shifted(kuehnel_solid(3), 100).facets)
+    assert beside.num_vertices == len(beside.facets) + beside.dim
+    assert not is_stacked_ball(beside)
+    sphere = boundary_complex(helpers.simplex(3))
+    cases = [
+        *(x for _, x in helpers.corpus()),
+        *(kuehnel_solid(d) for d in (2, 3, 5)),
+        *(kuehnel_torus(d) for d in (2, 3, 5)),
+        *(random_stacked_ball(d, 40, seed=s) for d in (2, 4) for s in (1, 2)),
+        helpers.path_ball(3, 9),
+        beside,
+        from_facets(sphere.facets + helpers.shifted(sphere, 10).facets),
+        *(from_facets((i,) for i in range(n)) for n in (1, 2, 3)),
+        EMPTY,
+        SimplicialComplex(((),)),
+        from_facets([(0, 1, 2), (2, 3)]),
+    ]
+    for x in cases:
+        _assert_counts_match_the_graph(x)
+    assert _facet_graph_counts(SimplicialComplex(beside.facets)) == (len(beside.facets) - 1, 2)
 
 
 def test_node_bounds_checked():
