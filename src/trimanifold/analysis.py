@@ -14,9 +14,8 @@ when the input misses the claim's hypothesis, never passing vacuously.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
 from math import comb, isqrt
+from typing import NamedTuple
 
 from .complexes import (
     SimplicialComplex,
@@ -63,8 +62,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ParameterTriple:
+class ParameterTriple(NamedTuple):
     """One solution of the tight-neighborliness equation."""
 
     beta1: int
@@ -72,8 +70,7 @@ class ParameterTriple:
     f0: int
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     """Outcome of one registered structural check."""
 
     lemma_id: str
@@ -81,8 +78,7 @@ class LemmaReport:
     witness: dict | None = None
 
 
-@dataclass(frozen=True)
-class TightnessReport:
+class TightnessReport(NamedTuple):
     """Both sides of the tightness inequality for one manifold."""
 
     satisfies_inequality: bool
@@ -92,28 +88,30 @@ class TightnessReport:
     beta1: int
 
 
-@dataclass(frozen=True)
-class VertexBijection:
+class VertexBijection(NamedTuple):
     """Injective vertex map given as (source, image) pairs sorted by source."""
 
     pairs: tuple
 
-    @cached_property
+    @property
     def mapping(self) -> dict:
+        """The map as a dict, built anew on every read."""
         return dict(self.pairs)
 
     def apply(self, face) -> tuple:
-        return tuple(sorted(self.mapping[v] for v in face))
+        return tuple(sorted(map(self.mapping.__getitem__, face)))
 
     def maps_complex(self, x: SimplicialComplex, y: SimplicialComplex) -> bool:
         """True when the map is injective on the vertices of ``x`` and
-        carries the facet set of ``x`` onto that of ``y``."""
+        carries the facet set of ``x`` onto that of ``y``.  The map is
+        built once per call, not once per face."""
         domain = self.mapping
         if any(v not in domain for v in x.vertices):
             return False
         if len({domain[v] for v in x.vertices}) != x.num_vertices:
             return False
-        return {self.apply(f) for f in x.facets} == set(y.facets)
+        image = domain.__getitem__
+        return {tuple(sorted(map(image, f))) for f in x.facets} == set(y.facets)
 
 
 def tight_neighborly_check(m: SimplicialComplex) -> TightnessReport:

@@ -2,9 +2,13 @@
 
 A complex is kept as the canonically sorted tuple of its inclusion-maximal
 faces.  Derived structure is never materialised up front.  What callers
-read more than once is built on first use and memoised on the complex,
-which is immutable, by :func:`_memoised`, the only code that reads or
-writes the cache.  It wraps these builders:
+read more than once is built on first use and memoised on the complex by
+:func:`_memoised`, the only code that reads or writes the cache.  That is
+sound as the complex is immutable: :class:`SimplicialComplex` is a slotted
+class that refuses assignment after ``__init__``, and its equality, hash
+and pickle read the facets alone.  The records are ``NamedTuple`` classes,
+immutable as tuples are; neither needs :mod:`dataclasses`, whose import
+every command-line run would pay for.  The builders are:
 
 - ``dim`` and ``vertices``, the dimension and the vertex set;
 - :func:`_vertex_facets`, vertex -> ascending ids of its facets, from
@@ -47,9 +51,8 @@ identities checked elsewhere in the package cannot silently overflow.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from itertools import chain, combinations, repeat
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     DimensionRangeError,
@@ -113,8 +116,7 @@ def _as_face(vertices: Iterable[int]) -> Face:
     return tuple(sorted(labels))
 
 
-@dataclass(frozen=True)
-class FVector:
+class FVector(NamedTuple):
     """Face counts by dimension together with the Euler characteristic."""
 
     counts: tuple[int, ...]
@@ -127,7 +129,6 @@ class FVector:
         return cls(counts, euler)
 
 
-@dataclass(frozen=True)
 class SimplicialComplex:
     """Simplicial complex represented by its facet set.
 
@@ -141,12 +142,36 @@ class SimplicialComplex:
     the link of a facet, and the empty face alone is the boundary of a
     point; readers answer both alike, as they test for dimension -1.
     :func:`from_facets` builds neither.
+
+    Both slots are set once, in ``__init__``; assigning or deleting an
+    attribute afterwards raises AttributeError.  Equality, hash, repr,
+    pickle and copy read ``facets`` alone, never the memo cache.
     """
 
-    facets: tuple[Face, ...]
-    # written by _memoised only.  Value writes are idempotent so concurrent
-    # readers at worst recompute
-    _face_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("facets", "_face_cache")
+
+    def __init__(self, facets: tuple[Face, ...]) -> None:
+        object.__setattr__(self, "facets", facets)
+        # written by _memoised only.  Value writes are idempotent so
+        # concurrent readers at worst recompute
+        object.__setattr__(self, "_face_cache", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.facets == other.facets
+
+    def __hash__(self):
+        return hash((self.facets,))
+
+    def __reduce__(self):  # a copy starts with an empty cache
+        return SimplicialComplex, (self.facets,)
 
     @property
     @_memoised
@@ -246,14 +271,14 @@ def f_vector(x: SimplicialComplex) -> FVector:
     """Face counts (f_0, ..., f_d) and their alternating sum, memoised.
 
     :func:`boundary_complex` stores the counts of the boundary of a
-    stacked ball, which it reads from f_0.  Otherwise counts come from
+    stacked ball, and :func:`.walkup.random_stacked_ball` those of the
+    ball, both read from f_0.  Otherwise counts come from
     :func:`.walkup._stacked_link_counts` when it answers, which it does
-    without a class test for every complex of dimension >= 3 built by the
-    generators of :mod:`.walkup` (Kuehnel solids and tori, stacked balls),
-    as they store the class report they prove.  Otherwise f_0 is the
-    vertex count and f_d the number of facets of size d + 1, as every face
-    of top dimension is a facet; only the levels in between are
-    enumerated.
+    without a class test for the Kuehnel solids and tori of dimension
+    >= 3, as their generators store the class report they prove.
+    Otherwise f_0 is the vertex count and f_d the number of facets of size
+    d + 1, as every face of top dimension is a facet; only the levels in
+    between are enumerated.
     """
     from .walkup import _stacked_link_counts
 
@@ -375,7 +400,7 @@ def is_weak_pseudomanifold(x: SimplicialComplex) -> bool:
         return True
     if not is_pure(x):
         return False
-    return all(len(ids) <= 2 for ids in _ridge_incidence(x).values())
+    return max(map(len, _ridge_incidence(x).values()), default=0) <= 2
 
 
 def is_pseudomanifold(x: SimplicialComplex) -> bool:

@@ -14,8 +14,8 @@ translate ids back to vertex sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .complexes import (
     Face,
@@ -42,8 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DualGraph:
+class DualGraph(NamedTuple):
     """Undirected simple graph over facet ids, with the facet lookup table.
 
     ``adjacency[i]`` is the ascending tuple of the neighbours of node ``i``;

@@ -63,10 +63,10 @@ these hypotheses, and sweeps otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from operator import itemgetter
+from typing import NamedTuple
 
 from .complexes import (
     SimplicialComplex,
@@ -91,8 +91,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Z2Matrix:
+class Z2Matrix(NamedTuple):
     """Matrix over GF(2), stored as one int bitmask per column."""
 
     num_rows: int
@@ -137,8 +136,7 @@ class Z2Matrix:
         return all(c == 0 for c in self.cols)
 
 
-@dataclass(frozen=True)
-class Z2ChainComplex:
+class Z2ChainComplex(NamedTuple):
     """Ordered face lists per dimension plus the boundary matrices.
 
     ``boundaries[k]`` maps k-chains to (k-1)-chains for 1 <= k <= dim;
@@ -153,8 +151,7 @@ class Z2ChainComplex:
         return len(self.faces) - 1
 
 
-@dataclass(frozen=True)
-class BettiVector:
+class BettiVector(NamedTuple):
     """Mod-2 Betti numbers b_0..b_d."""
 
     betti: tuple
@@ -292,7 +289,7 @@ def is_orientable(m: SimplicialComplex) -> bool:
     """
     if m.dim < 0 or not is_weak_pseudomanifold(m):
         raise PreconditionError("orientability needs a pure weak pseudomanifold")
-    if any(len(ids) == 1 for ids in _ridge_incidence(m).values()):
+    if 1 in map(len, _ridge_incidence(m).values()):
         raise PreconditionError("orientability check requires a closed complex")
     g: DualGraph = dual_graph(m)
     if not is_connected(g):

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import bisect
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import repeat
 from math import comb, isqrt
+from typing import NamedTuple
 
 from .complexes import (
     Face,
+    FVector,
     SimplicialComplex,
     _as_face,
     _facet_graph_counts,
@@ -39,6 +40,7 @@ from .complexes import (
     _memoised,
     _neighbours,
     _ridge_incidence,
+    _store_f_vector,
     _vertex_facets,
     boundary_complex,
     faces_of_dim,
@@ -74,8 +76,7 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return z ^ (z >> 31), state
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(NamedTuple):
     """Outcome of the vertex-link classification of a pure d-complex: the
     first vertex whose link is no stacked sphere (``k_fail``) and the
     first whose link is no stacked ball (``kbar_fail``).  None means that
@@ -85,33 +86,39 @@ class ClassReport:
     kbar_fail: int | None
 
 
-@dataclass(frozen=True)
-class HandleMap:
-    """Gluing data: two disjoint facets and a vertex bijection between them.
-
-    ``pairs`` lists ``(x, psi(x))`` sorted by ``x``.  Shape rules (strict
-    tuples, disjointness, bijectivity) are enforced here, and a label
-    that is not a non-negative ``int`` raises ``ValueError``; rules that
-    depend on the ambient complex are enforced by
-    :func:`handle_addition`.
-    """
-
+# the fields of HandleMap, which validates them in __new__; a NamedTuple
+# class body may not define __new__ itself
+class _HandleFields(NamedTuple):
     sigma1: Face
     sigma2: Face
     pairs: tuple
 
-    def __post_init__(self) -> None:
-        for name, sigma in (("sigma1", self.sigma1), ("sigma2", self.sigma2)):
+
+class HandleMap(_HandleFields):
+    """Gluing data: two disjoint facets and a vertex bijection between them.
+
+    ``pairs`` lists ``(x, psi(x))`` sorted by ``x``.  Shape rules (strict
+    tuples, disjointness, bijectivity) are enforced here, on every
+    construction, and a label that is not a non-negative ``int`` raises
+    ``ValueError``; rules that depend on the ambient complex are enforced
+    by :func:`handle_addition`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, sigma1: Face, sigma2: Face, pairs: tuple) -> "HandleMap":
+        for name, sigma in (("sigma1", sigma1), ("sigma2", sigma2)):
             if tuple(sigma) != _as_face(sigma):
                 raise InadmissibleHandleError(f"{name} is not a strict vertex tuple")
-        if set(self.sigma1) & set(self.sigma2):
+        if set(sigma1) & set(sigma2):
             raise InadmissibleHandleError("sigma1 and sigma2 share vertices")
-        domain = [p[0] for p in self.pairs]
-        image = [p[1] for p in self.pairs]
-        if domain != list(self.sigma1) or sorted(image) != list(self.sigma2):
+        domain = [p[0] for p in pairs]
+        image = [p[1] for p in pairs]
+        if domain != list(sigma1) or sorted(image) != list(sigma2):
             raise InadmissibleHandleError(
                 "pairs must map sigma1 onto sigma2 bijectively, sorted by source"
             )
+        return super().__new__(cls, sigma1, sigma2, pairs)
 
     @classmethod
     def create(cls, sigma1, sigma2, psi: dict) -> "HandleMap":
@@ -146,7 +153,7 @@ def is_stacked_sphere(s: SimplicialComplex) -> bool:
     """
     if s.dim < 0 or not is_weak_pseudomanifold(s):
         raise PreconditionError("input must be a pure weak pseudomanifold")
-    if any(len(ids) == 1 for ids in _ridge_incidence(s).values()):
+    if 1 in map(len, _ridge_incidence(s).values()):
         raise PreconditionError("input has a non-empty boundary")
     return _peels_to_simplex_boundary(s.facets)
 
@@ -582,10 +589,13 @@ def random_stacked_ball(d: int, m: int, seed: int = 0) -> SimplicialComplex:
     boundary-ridge list with the next stream word reduced modulo the list
     length.
 
-    For d >= 2 the class report is stored, not tested.  Gluing a fresh
-    vertex on a boundary ridge tau cones it over the boundary ridge tau - u
-    of each link lk u, u in tau, and gives it a simplex as link, so every
-    link stays a stacked ball.  A link of dimension d-1 >= 1 with a
+    The f-vector is stored, not counted: each of the m - 1 gluings brings
+    one fresh vertex, so the ball has n = m + d vertices, and
+    :func:`_stacked_counts` gives the counts of a stacked d-ball on n
+    vertices.  For d >= 2 the class report is stored, not tested.  Gluing a
+    fresh vertex on a boundary ridge tau cones it over the boundary ridge
+    tau - u of each link lk u, u in tau, and gives it a simplex as link, so
+    every link stays a stacked ball.  A link of dimension d-1 >= 1 with a
     boundary is no sphere, so vertex 0, which always exists, fails class K
     first.  At d = 1 the two-point links of inner vertices are spheres.
     """
@@ -606,10 +616,13 @@ def random_stacked_ball(d: int, m: int, seed: int = 0) -> SimplicialComplex:
         word, state = _splitmix64(state)
         tau = ridges.pop(word % len(ridges))
         facets.append(tau + (fresh,))
-        for drop in tau:
-            bisect.insort(ridges, tuple(u for u in tau if u != drop) + (fresh,))
+        for j in range(d):
+            bisect.insort(ridges, tau[:j] + tau[j + 1:] + (fresh,))
         fresh += 1
     x = _from_canonical(set(facets))
+    n = m + d
+    counts = (a * n + b for a, b in _stacked_counts(d, sphere=False))
+    _store_f_vector(x, FVector.from_counts(counts))
     if d >= 2:
         _store_report(x, ClassReport(0, None))
     return x

@@ -745,6 +745,19 @@ def test_in_process_calls_match_separate_processes(capsys, tmp_path):
         assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every command-line run pays for its imports, and these two are among
+    # the dearest; -S keeps site hooks out, so only the package's count
+    src = os.path.dirname(os.path.dirname(trimanifold.__file__))
+    probe = ("import sys, trimanifold.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert child.stdout == "[]\n"
+
+
 def test_usage_error_leaves_the_parser_usable(capsys, tmp_path):
     path = tmp_path / "solid.fct"
     fct.write_fct(kuehnel_solid(3), path)

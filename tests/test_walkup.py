@@ -523,6 +523,21 @@ def test_the_stored_boundary_counts_against_enumeration(d):
         assert f_vector(fresh).counts == tuple(len(faces_of_dim(bd, k)) for k in range(d))
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_the_stored_ball_counts_against_enumeration(d):
+    for m in (1, 2, 3, 30, 200):
+        for seed in (0, 1, 7):
+            ball = random_stacked_ball(d, m, seed)
+            stored = f_vector.peek(ball)
+            assert stored is not None
+            assert stored == f_vector(ball)  # read, and no index built for it
+            assert "_neighbours" not in ball._face_cache
+            fresh = SimplicialComplex(ball.facets)
+            assert f_vector.peek(fresh) is None
+            assert f_vector(fresh) == stored
+            assert stored.counts == tuple(len(faces_of_dim(ball, k)) for k in range(d + 1))
+
+
 @pytest.mark.parametrize("d", [3, 4, 6])
 def test_a_ball_beside_a_solid_stores_no_boundary_counts(d):
     # f_0 = f_d + d and f_d - 1 interior ridges, but the facet graph is a
