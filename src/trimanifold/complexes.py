@@ -39,8 +39,8 @@ keep every level alive; :func:`f_vector` says when it counts them.
 
 This module is the only one that indexes the facets at a vertex or across
 a ridge, or the neighbours of a vertex; every other module reads the three
-indices, save the peel of :mod:`.walkup`, which keeps its own consumable
-star map of the facets it is handed.  Vertex labels are arbitrary
+indices, save the peel of :mod:`.walkup`, which numbers the facets it is
+handed in a list of its own and keeps a consumable star map of their ids.  Vertex labels are arbitrary
 non-negative integers and survive every operation unchanged; algorithms
 that want dense indices build a local relabelling.
 

@@ -164,7 +164,14 @@ def _peels_to_simplex_boundary(facets, apex: int | None = None) -> bool:
 
     ``facets`` is a sequence of vertex tuples: the facets of the complex S
     or, with ``apex``, of the cone over S, whose apex is never peeled.  It
-    is only read; the peel works on its own facet set and star map.
+    is only read: the peel copies it into its own list, which gives each
+    facet an id (its index there) and each seal a new id at its end.  The
+    vertex -> star map holds ids, not tuples, because CPython caches no
+    tuple hash, so every set operation on a tuple would hash its d + 1
+    labels again.  Whether a seal is already a facet is read from the set
+    of the tuples of every facet held so far, which no peel shrinks: a
+    peeled facet holds the peeled vertex, which no later facet and so no
+    later seal holds.  The facet count is kept apart, as an int.
 
     A worklist holds the vertices to try, first all of them.  A vertex v
     of S is peeled when its star has d + 1 facets, their other vertices
@@ -194,33 +201,38 @@ def _peels_to_simplex_boundary(facets, apex: int | None = None) -> bool:
     True as soon as d + 2 facets are left, and False when the worklist
     runs out before.
     """
+    ids = list(facets)  # facet id -> vertex tuple; each seal gets a new id
     stars = defaultdict(set)
-    for f in facets:
+    for i, f in enumerate(ids):
         for w in f:
-            stars[w].add(f)
+            stars[w].add(i)
     stars.pop(apex, None)
-    facets = set(facets)
-    size = len(next(iter(facets)))  # vertices of a facet, and of a hull
+    held = set(ids)
+    count = len(ids)
+    size = len(ids[0])  # vertices of a facet, and of a hull
     star_size = size - (apex is not None)  # d + 1
     todo = list(stars)
-    while todo and len(facets) > star_size + 1:
+    while todo and count > star_size + 1:
         v = todo.pop()
         star_v = stars.get(v, ())
         if len(star_v) != star_size:
             continue
-        hull = set().union(*star_v) - {v}
+        hull = set().union(*map(ids.__getitem__, star_v)) - {v}
         seal = tuple(sorted(hull))
-        if len(hull) != size or seal in facets:
+        if len(hull) != size or seal in held:
             continue
-        facets -= star_v
-        facets.add(seal)
+        held.add(seal)
+        count -= star_size - 1
+        new = len(ids)
+        ids.append(seal)
         hull.discard(apex)
         for w in hull:
-            stars[w] -= star_v
-            stars[w].add(seal)
+            star_w = stars[w]
+            star_w -= star_v
+            star_w.add(new)
         del stars[v]
         todo.extend(hull)
-    return len(facets) == star_size + 1
+    return count == star_size + 1
 
 
 @_memoised
@@ -281,14 +293,15 @@ _store_report = class_membership.store
 
 # from this dimension up the class test and the counts cost less than the
 # middle face levels.  Measured (Python 3.11, 2-vCPU host, fastest of 25
-# fresh complexes, median of three runs): at dimension 8 on kuehnel_torus(8)
-# 4.9 against 7.7 ms and on kuehnel_solid(7) 0.58 against 1.00 ms; at 9 on
-# kuehnel_torus(9) 7.6 against 21.0 ms and on kuehnel_solid(8) 0.75 against
-# 2.39 ms; at 7 they are even, 3.24 against 3.22 ms on kuehnel_torus(7) and
-# 0.45 against 0.44 ms on kuehnel_solid(6).  betti_z2 of a K-bar complex
-# still sweeps after the class test (fresh kuehnel_solid(7): 3.7 ms, 0.5 ms
-# of it the class test)
-_ROUTE_MIN_DIM = 8
+# fresh complexes, median of five runs): at dimension 7 on kuehnel_torus(7)
+# 2.07 against 2.24 ms and on kuehnel_solid(6) 0.34 against 0.36 ms; at 8
+# on kuehnel_torus(8) 3.07 against 5.93 ms and on kuehnel_solid(7) 0.41
+# against 0.75 ms; at 6 the levels win, 0.84 against 1.37 ms on
+# kuehnel_torus(6) and 0.14 against 0.26 ms on kuehnel_solid(5).  betti_z2
+# of a K-bar complex still sweeps after the class test (fresh
+# kuehnel_solid(6): 0.95 ms, plus 0.34 ms for the class test); that of a
+# fresh kuehnel_torus(7) skips a 4.1 ms sweep
+_ROUTE_MIN_DIM = 7
 
 
 def _stacked_counts(dd: int, sphere: bool) -> list:

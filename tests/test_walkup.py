@@ -132,6 +132,28 @@ CROSS_STACKED = from_facets(
 )
 
 
+def _pinched_and_split(d):
+    """Closed d-complexes of two parts, with the name of each: two simplex
+    boundaries sharing vertex 0, a stacked sphere and a simplex boundary
+    sharing vertex 0, and two disjoint simplex boundaries.  Each meets a
+    seal that is already a facet in the peel of the whole complex; the
+    two pinched ones also in the cone peel of the shared vertex, whose
+    link is split in two (every link of the disjoint pair is a simplex
+    boundary, which stops the cone peel before any try)."""
+    def simplex_boundary(labels):
+        return list(combinations(labels, d + 1))
+
+    sphere = boundary_complex(random_stacked_ball(d + 1, 4, seed=d))  # on 0..d+4
+    return [
+        (f"pinched-{d}", from_facets(
+            simplex_boundary(range(d + 2)) + simplex_boundary((0, *range(d + 2, 2 * d + 3))))),
+        (f"sphere-pinched-{d}", from_facets(
+            [*sphere.facets, *simplex_boundary((0, *range(d + 5, 2 * d + 6)))])),
+        (f"split-{d}", from_facets(
+            simplex_boundary(range(d + 2)) + simplex_boundary(range(d + 2, 2 * d + 4)))),
+    ]
+
+
 def test_stacked_sphere_agrees_with_search():
     # stacking vertex 6 onto one facet of the octahedron: one peel undoes
     # it and leaves the octahedron, where no vertex can be peeled
@@ -146,7 +168,8 @@ def test_stacked_sphere_agrees_with_search():
         boundary_complex(random_stacked_ball(3, 6, seed=1)).facets
         + helpers.shifted(tetra, 100).facets
     )
-    cases = [OCTAHEDRON, stacked_once, two_tetra, sphere_and_tetra]
+    two_parts = [x for d in range(3, 9) for _, x in _pinched_and_split(d)]
+    cases = [OCTAHEDRON, stacked_once, two_tetra, sphere_and_tetra, *two_parts]
     for d in range(1, 5):
         for m in (1, 2, 3, 5, 8):
             for seed in (0, 1):
@@ -160,8 +183,24 @@ def test_stacked_sphere_agrees_with_search():
     )
     for s in cases:
         assert is_stacked_sphere(s) == helpers.stacked_sphere_by_search(s), s
-    for s in (OCTAHEDRON, stacked_once, two_tetra, sphere_and_tetra):
+    for s in (OCTAHEDRON, stacked_once, two_tetra, sphere_and_tetra, *two_parts):
         assert not is_stacked_sphere(s)
+
+
+def test_the_peel_leaves_the_complex_and_its_indices_as_built():
+    # the peel works on copies: after both of its callers ran, the facets
+    # and every memoised index equal those of a fresh complex
+    cases = [SimplicialComplex(kuehnel_torus(5).facets), helpers.handle_body(3, 2, 40)]
+    cases += [x for d in (3, 6) for _, x in _pinched_and_split(d)]
+    indices = (complexes._vertex_facets, complexes._ridge_incidence, complexes._neighbours)
+    for x in cases:
+        fresh = SimplicialComplex(x.facets)
+        for index in indices:
+            index(x)
+        class_membership(x)
+        is_stacked_sphere(x)
+        assert x.facets == fresh.facets
+        assert [index(x) for index in indices] == [index(fresh) for index in indices]
 
 
 def test_stacked_sphere_recognition_has_no_size_cliff():
@@ -364,6 +403,8 @@ def _class_report_instances():
         ("three-points", lambda: from_facets([(0,), (1,), (2,)])),
         ("three-facets-on-a-ridge", lambda: from_facets([(0, 1, 2), (0, 1, 3), (0, 1, 4)])),
     ]
+    # pinched and split links
+    items += [(name, lambda x=x: x) for d in range(3, 9) for name, x in _pinched_and_split(d)]
     return [pytest.param(make, id=name) for name, make in items]
 
 
@@ -473,13 +514,13 @@ def test_stacked_link_counts_against_enumeration_and_full_matrices(make, want):
 
 
 def test_stacked_link_counts_below_the_gate_need_a_memoised_report():
-    x = SimplicialComplex(kuehnel_torus(7).facets)  # no stored report
+    x = SimplicialComplex(kuehnel_torus(6).facets)  # no stored report
     assert walkup._stacked_link_counts(x) is None
     assert class_membership.peek(x) is None
     class_membership(x)
     assert walkup._stacked_link_counts(x) is not None
-    # at the gate, dimension 8, the counts run the class test themselves
-    y = SimplicialComplex(kuehnel_torus(8).facets)
+    # at the gate, dimension 7, the counts run the class test themselves
+    y = SimplicialComplex(kuehnel_torus(7).facets)
     assert walkup._stacked_link_counts(y) is not None
     assert class_membership.peek(y) == ClassReport(None, 0)
 
