@@ -40,9 +40,10 @@ keep every level alive; :func:`f_vector` says when it counts them.
 This module is the only one that indexes the facets at a vertex or across
 a ridge, or the neighbours of a vertex; every other module reads the three
 indices, save the peel of :mod:`.walkup`, which numbers the facets it is
-handed in a list of its own and keeps a consumable star map of their ids.  Vertex labels are arbitrary
-non-negative integers and survive every operation unchanged; algorithms
-that want dense indices build a local relabelling.
+handed in a list of its own and keeps a consumable star map of their ids.
+Vertex labels are arbitrary non-negative integers and survive every
+operation unchanged; algorithms that want dense indices build a local
+relabelling.
 
 All arithmetic is exact.  Python integers are unbounded, so the counting
 identities checked elsewhere in the package cannot silently overflow.

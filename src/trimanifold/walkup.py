@@ -201,7 +201,7 @@ def _peels_to_simplex_boundary(facets, apex: int | None = None) -> bool:
     True as soon as d + 2 facets are left, and False when the worklist
     runs out before.
     """
-    ids = list(facets)  # facet id -> vertex tuple; each seal gets a new id
+    ids = list(facets)  # facet id -> vertex tuple
     stars = defaultdict(set)
     for i, f in enumerate(ids):
         for w in f:
