@@ -216,6 +216,9 @@ def _from_canonical(canon: set) -> SimplicialComplex:
     """The complex generated by ``canon``, a set of faces that are already
     sorted tuples of distinct non-negative int labels, without ``()``.
 
+    Faces of one size cannot contain one another, so such input is
+    returned sorted at once.
+
     Absorption works through a vertex index.  Faces are taken in groups of
     equal size, largest first; the largest group is kept whole.  A smaller
     face is absorbed when one of the kept larger faces through its rarest
@@ -227,6 +230,8 @@ def _from_canonical(canon: set) -> SimplicialComplex:
     """
     if not canon:
         raise EmptyComplexError("at least one non-empty face is required")
+    if len(set(map(len, canon))) == 1:
+        return SimplicialComplex(tuple(sorted(canon)))
     groups: dict[int, list[Face]] = {}
     for f in canon:
         groups.setdefault(len(f), []).append(f)

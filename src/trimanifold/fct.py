@@ -10,13 +10,21 @@ whitespace inside a line.  A label is decimal: ASCII digits
 ``-`` label is reported as negative).  Signs ``+``, digit separators
 ``_`` and non-ASCII digits are not labels.  Comments may hold any text.
 
-:func:`loads` reads the text in one pass when the comment-stripped
-lines are ASCII and hold no ``_``, ``+`` or ``-``: the lines go through
-``int`` into a set of sorted faces in one comprehension, with no
+:func:`loads` reads the text by width class when the comment-stripped
+lines are ASCII and hold no ``_``, ``+`` or ``-`` (the comment pass is
+skipped when the text holds no ``#``).  Lines are taken ``_BLOCK`` at a
+time, which bounds the tokens held at once; the lines of a block are
+grouped by their number of tokens, and each class of width w goes through
+``int`` in one flat pass and is cut into faces of w labels, with no
 per-token Python loop.  On such text ``int`` accepts exactly the tokens
-made of ASCII digits, so every label it returns is valid.  When the pass
-does not run or ``int`` refuses a token, the lines are read again one
-token at a time.  That replay raises
+made of ASCII digits, so every label it returns is valid.  Whether a line
+is sorted and repeats no label is decided exactly with no per-line
+``set``: faces of one width strictly increase exactly when each of their
+columns lies below the next, position by position.  A class that fails
+the test is sorted face by face and tested again, and only a class that
+still fails, where some line repeats a label (``7 007``), is rebuilt
+through ``set``.  When the pass does not run or ``int`` refuses a token,
+the lines are read again one token at a time.  That replay raises
 :class:`~trimanifold.errors.FctFormatError` for the first token that is
 not a label or is negative, naming its 1-based line; when every token is
 a label (``-0``, or text split by non-ASCII whitespace), it too yields
@@ -32,7 +40,8 @@ from __future__ import annotations
 
 import io
 import os
-from itertools import chain
+from itertools import chain, groupby
+from operator import lt
 from typing import TextIO
 
 from .complexes import SimplicialComplex, _from_canonical
@@ -40,15 +49,17 @@ from .errors import EmptyComplexError, FctFormatError
 
 __all__ = ["loads", "dumps", "read_fct", "write_fct"]
 
+_BLOCK = 1024  # lines read together, bounding the transient tokens
+
 
 def loads(text: str) -> SimplicialComplex:
     """Parse facet-list text into a canonical complex."""
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    bodies = [raw.split("#", 1)[0] for raw in lines]
+    bodies = [raw.split("#", 1)[0] for raw in lines] if "#" in text else lines
     canon = None
     if _unsigned_ascii(bodies):
         try:
-            canon = {tuple(sorted(set(map(int, b.split())))) for b in bodies}
+            canon = _faces_by_width(bodies)
         except ValueError:  # a token that is not a number
             pass
     if canon is None:
@@ -67,6 +78,31 @@ def _unsigned_ascii(bodies: list) -> bool:
     before the faces are built."""
     text = "".join(bodies)
     return text.isascii() and not ("_" in text or "+" in text or "-" in text)
+
+
+def _faces_by_width(bodies: list) -> set:
+    """The faces on the comment-stripped lines ``bodies`` as sorted tuples,
+    read ``_BLOCK`` lines at a time, one ``int`` pass per width class of a
+    block; ``ValueError`` when ``int`` refuses a token."""
+    faces = set()
+    for start in range(0, len(bodies), _BLOCK):
+        rows = sorted(map(str.split, bodies[start:start + _BLOCK]), key=len)
+        for width, group in groupby(rows, len):
+            labels = map(int, chain.from_iterable(group))
+            cut = list(zip(*[labels] * width))
+            if not _increasing(cut):  # some line is not sorted
+                cut = list(map(tuple, map(sorted, cut)))
+                if not _increasing(cut):  # some line repeats a label
+                    cut = [tuple(sorted(set(f))) for f in cut]
+            faces.update(cut)
+    return faces
+
+
+def _increasing(cut: list) -> bool:
+    """Whether every tuple of ``cut``, tuples of one width, strictly
+    increases: each column below the next, position by position."""
+    cols = list(zip(*cut))
+    return all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))
 
 
 def _faces_by_line(bodies: list) -> set:

@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 from itertools import combinations
 from time import perf_counter
 
@@ -85,7 +86,9 @@ _NOT_LABELS = ["x", "1.5", "-", "--1", "0x1", "1e3", "1-2", "\u00e9", "9" * 5000
 @st.composite
 def noisy_fct(draw):
     """FCT text of a small complex with noise: shuffled duplicates, absorbed
-    sub-faces, comments (non-ASCII, ``_`` and ``+`` among them), blank
+    sub-faces, lines that repeat a label (some spelled with leading zeros,
+    ``7 007``), so that a width class holds lines with and without a
+    repeat, comments (non-ASCII, ``_`` and ``+`` among them), blank
     lines, runs of spaces, tabs, form feeds and U+2028, LF, CRLF or CR
     ends, and on a few random lines a token that is not a label or is
     negative."""
@@ -97,10 +100,15 @@ def noisy_fct(draw):
         rng.sample(f, rng.randrange(1, len(f)))
         for f in x.facets if len(f) > 1 and rng.random() < 0.5
     ]
+    rows = [list(map(str, f)) for f in faces]
+    for row in rows:
+        if rng.random() < 0.3:
+            repeat = rng.choice(["", "0", "00"]) + rng.choice(row)
+            row.insert(rng.randrange(len(row) + 1), repeat)
     lines = [
-        rng.choice([" ", "  ", "\t", "\x0c", "\u2028"]).join(map(str, f))
+        rng.choice([" ", "  ", "\t", "\x0c", "\u2028"]).join(row)
         + rng.choice(["", "  # dup \u00e9 1_0 +2", "#x"])
-        for f in faces
+        for row in rows
     ]
     lines += rng.choices(["# comment", "", "   ", "\t", "#\u0663 -1"], k=rng.randrange(4))
     rng.shuffle(lines)
@@ -127,8 +135,19 @@ def _outcome(load, text):
 @example("0 1\r\n2 -3\r\n4 x\n")
 @example("0 1 x\n-0 -0\n")
 @example("0 1\r2 x\r")
+@example("7 007 3\n0 1 2\n3 7 0\n1 2 0\n2 2\n")
 def test_one_pass_reads_like_the_line_parser(text):
     assert _outcome(fct.loads, text) == _outcome(helpers.loads_by_lines, text)
+
+
+@given(noisy_fct(), st.integers(1, 3))
+@example("0 1 2\n2 1 0\n1 01 3\n0 3\n", 2)
+def test_short_blocks_read_like_the_line_parser(text, block):
+    # blocks of one to three lines put block edges between width classes
+    # and give each class its own sort and repeated-label fallbacks
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fct, "_BLOCK", block)
+        assert _outcome(fct.loads, text) == _outcome(helpers.loads_by_lines, text)
 
 
 @given(helpers.small_complexes(), st.randoms(use_true_random=False))
@@ -255,3 +274,25 @@ def test_noisy_loads_has_no_size_cliff():
     dt = perf_counter() - t0
     assert loaded == x
     assert dt < 5.0, f"loads took {dt:.2f} s, budget 5 s"
+
+
+def test_loads_peak_memory_per_facet_does_not_grow():
+    # canonical lines in shuffled order on a doubling ladder; lines are
+    # read a block at a time, so only the faces grow with the input
+    per_facet = []
+    for m in (5000, 10000, 20000):
+        x = random_stacked_ball(3, m, seed=7)
+        lines = [" ".join(map(str, f)) + "\n" for f in x.facets]
+        random.Random(1).shuffle(lines)
+        text = "".join(lines)
+        tracemalloc.start()
+        try:
+            loaded = fct.loads(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == x
+        per_facet.append(peak / len(x.facets))
+    assert max(per_facet) <= 1.1 * per_facet[0], per_facet
+    # every token of the text held at once takes over 680 B per facet
+    assert per_facet[-1] < 560, per_facet
