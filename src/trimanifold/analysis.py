@@ -40,8 +40,8 @@ from .errors import (
     ReconstructionFailure,
     UnknownLemmaError,
 )
-from .homology import _betti01, _class_k_beta1
-from .walkup import _memoised_report, class_membership
+from .homology import _betti01
+from .walkup import class_membership
 
 __all__ = [
     "ParameterTriple",
@@ -98,9 +98,6 @@ class VertexBijection(NamedTuple):
         """The map as a dict, built anew on every read."""
         return dict(self.pairs)
 
-    def apply(self, face) -> tuple:
-        return tuple(sorted(map(self.mapping.__getitem__, face)))
-
     def maps_complex(self, x: SimplicialComplex, y: SimplicialComplex) -> bool:
         """True when the map is injective on the vertices of ``x`` and
         carries the facet set of ``x`` onto that of ``y``.  The map is
@@ -119,13 +116,13 @@ def tight_neighborly_check(m: SimplicialComplex) -> TightnessReport:
 
     The left side is C(f0-d-1, 2), the right side C(d+2, 2) * beta1 with
     beta1 taken mod 2.  Equality is what the literature calls tight
-    neighborly.  beta1 comes from g2 only when a class report is already
-    memoised: the class test costs more than the two small ranks.
+    neighborly.  beta0 and beta1 come from :func:`.homology._betti01`,
+    which reads them from a memoised class report and otherwise from the
+    two small boundary ranks.
     """
     if m.dim < 0:
         raise PreconditionError("empty input")
-    k = None if _memoised_report(m) is None else _class_k_beta1(m)
-    beta0, beta1 = _betti01(m) if k is None else (1, k)
+    beta0, beta1 = _betti01(m)
     if beta0 != 1:
         raise PreconditionError("input must be connected")
     d = m.dim

@@ -22,7 +22,8 @@ every command-line run would pay for.  The builders are:
 - :func:`_facet_graph_counts`, the edge and component counts of the
   facet graph, from the ridge index with no graph built, read by
   :func:`is_pseudomanifold`, :func:`.walkup.is_stacked_ball`, the
-  class-K Betti route and :func:`.homology.beta1_dual_formula`;
+  class Betti route, :func:`.homology.is_orientable` and
+  :func:`.homology.beta1_dual_formula`;
 - :func:`.dualgraph.dual_graph`, the facet graph, from the ridge index,
   for code that reads adjacency; its star at a vertex is the facet graph
   of the link (see :func:`.walkup.class_membership`);

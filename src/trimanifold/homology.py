@@ -56,9 +56,25 @@ theorem I", 1987, for d >= 4): a connected complex of dimension d >= 3
 whose vertex links are all stacked spheres (class K) is a stacked sphere
 with k handles added.  So its mod-2 Betti vector is (1, k, 0, ..., 0, k,
 1), and g2 = f_1 - (d+1) f_0 + C(d+2, 2) = C(d+2, 2) k, as each handle
-merges d + 1 vertex pairs and C(d+1, 2) edge pairs.  :func:`betti_z2`
-reads the vector from g2 where :func:`_class_k_beta1` establishes exactly
-these hypotheses, and sweeps otherwise.
+merges d + 1 vertex pairs and C(d+1, 2) edge pairs.
+
+A complex X of dimension d >= 2 whose vertex links are all stacked balls
+(class K-bar) has the mod-2 Betti vector (1, eps - nu + 1, 0, ..., 0) when
+connected, where nu and eps count the nodes and edges of its facet graph.
+A stacked ball has no interior face of codimension >= 2, so X is a
+manifold with boundary whose faces of dimension <= d - 2 all lie on its
+boundary: a face through v is interior exactly when its trace in lk v
+is.  Lefschetz duality mod 2 gives H_i(X) = H^(d-i)(X, boundary), whose
+cochains live on the interior faces alone, the facets and the ridges in
+two facets: the nodes and edges of the facet graph, with the incidence
+as coboundary.  So H_0 has the rank of the graph's cokernel and H_1 that
+of its cycle space, and the rest vanish.
+
+Homology adds over components, so c components give (c, k, 0, ..., 0,
+k, c) in class K, where k = (f_1 - (d+1) f_0 + c C(d+2, 2)) / C(d+2, 2)
+counts the handles of all of them, and (c, eps - nu + c, 0, ..., 0) in
+class K-bar.  :func:`betti_z2` reads the vector from the class report
+through :func:`_class_betti`, and sweeps when that does not answer.
 """
 
 from __future__ import annotations
@@ -75,9 +91,9 @@ from .complexes import (
     faces_of_dim,
     is_weak_pseudomanifold,
 )
-from .dualgraph import DualGraph, dual_graph, is_connected
+from .dualgraph import DualGraph, dual_graph
 from .errors import PreconditionError
-from .walkup import _stacked_link_counts
+from .walkup import _memoised_report, _stacked_link_counts
 
 __all__ = [
     "Z2Matrix",
@@ -225,28 +241,32 @@ def _sweep(x: SimplicialComplex, top: int) -> tuple[list[int], list[int]]:
     return counts, ranks
 
 
-def _class_k_beta1(x: SimplicialComplex) -> int | None:
-    """k = g2 / C(d+2, 2) by the theorem of the module docstring, or None
-    when its hypotheses are not established: d >= 3 and class K from
-    :func:`.walkup._stacked_link_counts`, and a connected facet graph.  A
-    remainder raises AssertionError."""
+def _class_betti(x: SimplicialComplex) -> tuple | None:
+    """Mod-2 Betti vector by the theorems of the module docstring, from the
+    counts of :func:`.walkup._stacked_link_counts` (d >= 3 and class K or
+    K-bar) and the facet graph counts; None when those counts do not
+    answer.  A remainder in g2 raises AssertionError."""
     route = _stacked_link_counts(x)
-    if route is None or not route[0] or _facet_graph_counts(x)[1] != 1:
+    if route is None:
         return None
-    f = route[1]
+    sphere, f = route
+    edges, c = _facet_graph_counts(x)
+    if not sphere:
+        return (c, edges - f[-1] + c) + (0,) * (len(f) - 2)
     step = comb(len(f) + 1, 2)  # C(d+2, 2)
-    k, rest = divmod(f[1] - len(f) * f[0] + step, step)
+    k, rest = divmod(f[1] - len(f) * f[0] + c * step, step)
     if rest:
         raise AssertionError("g2 is not a multiple of C(d+2, 2)")
-    return k
+    return (c, k) + (0,) * (len(f) - 4) + (k, c)
 
 
 def betti_z2(x: SimplicialComplex) -> BettiVector:
-    """Full mod-2 Betti vector b_0..b_d, from g2 for connected class-K
-    input (see the module docstring) and from the sweep otherwise."""
-    k = _class_k_beta1(x)
-    if k is not None:
-        return BettiVector((1, k) + (0,) * (x.dim - 3) + (k, 1))
+    """Full mod-2 Betti vector b_0..b_d, from the class report for input
+    in class K or K-bar (see the module docstring) and from the sweep
+    otherwise."""
+    betti = _class_betti(x)
+    if betti is not None:
+        return BettiVector(betti)
     counts, ranks = _sweep(x, x.dim)
     return BettiVector(
         tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(len(counts)))
@@ -254,14 +274,18 @@ def betti_z2(x: SimplicialComplex) -> BettiVector:
 
 
 def _betti01(x: SimplicialComplex) -> tuple[int, int]:
-    """Mod-2 (b_0, b_1) of a non-empty complex from the two small boundary ranks."""
+    """Mod-2 (b_0, b_1) of a non-empty complex: from the class report only
+    when one is memoised, as the class test costs more than the two small
+    boundary ranks, and from those ranks otherwise."""
+    if _memoised_report(x) is not None and (betti := _class_betti(x)) is not None:
+        return betti[:2]
     counts, ranks = _sweep(x, min(2, x.dim))
     b1 = counts[1] - ranks[1] - ranks[2] if len(counts) > 1 else 0
     return counts[0] - ranks[1], b1
 
 
 def beta1_z2(x: SimplicialComplex) -> int:
-    """First mod-2 Betti number alone, from the two small boundary ranks."""
+    """First mod-2 Betti number alone, as :func:`_betti01` reads it."""
     if x.dim < 1:
         return 0
     return _betti01(x)[1]
@@ -291,11 +315,9 @@ def is_orientable(m: SimplicialComplex) -> bool:
         raise PreconditionError("orientability needs a pure weak pseudomanifold")
     if 1 in map(len, _ridge_incidence(m).values()):
         raise PreconditionError("orientability check requires a closed complex")
-    g: DualGraph = dual_graph(m)
-    if not is_connected(g):
+    if _facet_graph_counts(m)[1] != 1:
         raise PreconditionError("facet graph must be connected")
-    if m.dim == 0:
-        return True
+    g: DualGraph = dual_graph(m)
     # relative parity demanded by one shared ridge: facets must induce
     # opposite orientations on it, and dropping position p carries sign (-1)^p
     def relation(i: int, j: int) -> int:

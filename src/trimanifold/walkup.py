@@ -298,9 +298,7 @@ _store_report = class_membership.store
 # on kuehnel_torus(8) 3.07 against 5.93 ms and on kuehnel_solid(7) 0.41
 # against 0.75 ms; at 6 the levels win, 0.84 against 1.37 ms on
 # kuehnel_torus(6) and 0.14 against 0.26 ms on kuehnel_solid(5).  betti_z2
-# of a K-bar complex still sweeps after the class test (fresh
-# kuehnel_solid(6): 0.95 ms, plus 0.34 ms for the class test); that of a
-# fresh kuehnel_torus(7) skips a 4.1 ms sweep
+# of a fresh kuehnel_torus(7) skips a 4.1 ms sweep
 _ROUTE_MIN_DIM = 7
 
 

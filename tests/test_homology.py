@@ -146,6 +146,16 @@ def test_orientability_preconditions():
             is_orientable(x)
 
 
+def test_orientability_of_two_points_and_of_two_disjoint_spheres():
+    # two points, the only closed connected complex of dimension 0, take
+    # the sign walk like any other input
+    assert is_orientable(from_facets([(0,), (1,)]))
+    sphere = boundary_complex(helpers.simplex(3))
+    two = from_facets(sphere.facets + helpers.shifted(sphere, 10).facets)
+    with pytest.raises(PreconditionError, match="^facet graph must be connected$"):
+        is_orientable(two)
+
+
 @st.composite
 def complexes_in_parts(draw):
     """Small complexes, often non-pure, in one to three disjoint parts; a

@@ -483,8 +483,14 @@ def _closed(d, k):
     return (1, k) + (0,) * (d - 3) + (k, 1)
 
 
+def _beside(x, y):
+    """``x`` and a copy of ``y`` shifted past the largest label of ``x``."""
+    return from_facets(x.facets + helpers.shifted(y, 1 + max(x.vertices)).facets)
+
+
 def _stacked_link_instances():
-    """Complexes in class K or K-bar with their mod-2 Betti vectors."""
+    """Complexes in class K or K-bar, some in two components, with their
+    mod-2 Betti vectors."""
     items = []
     for d in range(3, 13):
         items += [
@@ -498,6 +504,22 @@ def _stacked_link_instances():
     for d, k, m in ((3, 1, 40), (3, 2, 40), (3, 3, 60), (4, 2, 50), (5, 2, 60)):
         items.append(pytest.param(lambda d=d, k=k, m=m: helpers.handle_body(d, k, m),
                                   _closed(d, k), id=f"handles-{d}-{k}"))
+    for d in (3, 9):
+        items.append(pytest.param(lambda d=d: _beside(kuehnel_torus(d), kuehnel_torus(d)),
+                                  (2, 2) + (0,) * (d - 3) + (2, 2), id=f"two-tori-{d}"))
+    for d in (3, 8):
+        items.append(pytest.param(
+            lambda d=d: _beside(random_stacked_ball(d, 8, 1), random_stacked_ball(d, 8, 2)),
+            (2,) + (0,) * d, id=f"two-balls-{d}"))
+    for d in (4, 8):
+        items.append(pytest.param(
+            lambda d=d: _beside(kuehnel_solid(d - 1), random_stacked_ball(d, 8, 1)),
+            (2, 1) + (0,) * (d - 1), id=f"solid-beside-ball-{d}"))
+    items.append(pytest.param(lambda: _beside(helpers.handle_body(4, 2, 50), kuehnel_torus(4)),
+                              (2, 3, 0, 3, 2), id="handles-beside-torus-4"))
+    for d, m in ((4, 50), (5, 60)):
+        items.append(pytest.param(lambda d=d, m=m: bar_construction(helpers.handle_body(d, 2, m)),
+                                  (1, 2) + (0,) * d, id=f"bar-handles-{d}-2"))
     return items
 
 
@@ -509,8 +531,9 @@ def test_stacked_link_counts_against_enumeration_and_full_matrices(make, want):
     assert in_k == (report.k_fail is None) != (report.kbar_fail is None)
     enumerated = tuple(len(faces_of_dim(x, k)) for k in range(x.dim + 1))
     assert counts == enumerated == f_vector(x).counts
-    assert betti_z2(x).betti == helpers.betti_by_matrices(x) == want
-    assert homology._class_k_beta1(x) == (want[1] if in_k else None)
+    full = helpers.betti_by_matrices(x)
+    assert betti_z2(x).betti == full == want
+    assert homology._class_betti(x) == full
 
 
 def test_stacked_link_counts_below_the_gate_need_a_memoised_report():
@@ -605,12 +628,12 @@ def test_a_surface_with_a_memoised_class_k_report_takes_the_sweep():
     assert betti_z2(x).betti == (1, 2, 1)
 
 
-def test_disjoint_tori_take_the_sweep():
+def test_disjoint_tori_take_no_sweep():
     torus = kuehnel_torus(9)
     x = from_facets(torus.facets + helpers.shifted(torus, 100).facets)
     with mock.patch.object(homology, "_sweep", wraps=homology._sweep) as sweep:
         assert betti_z2(x).betti == (2, 2) + (0,) * 6 + (2, 2)
-    assert sweep.called
+    assert not sweep.called
     # the f-vector needs no connectivity
     assert f_vector(x).counts == tuple(len(faces_of_dim(x, k)) for k in range(10))
 
@@ -625,11 +648,22 @@ def test_non_pure_input_above_the_gate_is_counted_as_before():
         class_membership(x)
 
 
-def test_betti_of_a_solid_above_the_gate_comes_from_the_sweep():
+def test_betti_of_a_solid_above_the_gate_takes_no_sweep():
     x = kuehnel_solid(9)
     with mock.patch.object(homology, "_sweep", wraps=homology._sweep) as sweep:
         assert betti_z2(x).betti == (1, 1) + (0,) * 9
-    assert sweep.called
+    assert not sweep.called
+    assert class_membership.peek(x).kbar_fail is None
+
+
+def test_betti_of_a_read_in_solid_has_no_size_cliff():
+    # read from FCT, with no stored report: the class test runs, and its
+    # K-bar verdict answers in place of a sweep over 14 face levels
+    x = fct.loads(fct.dumps(kuehnel_solid(13)))
+    assert class_membership.peek(x) is None
+    with mock.patch.object(homology, "_sweep", wraps=homology._sweep) as sweep:
+        assert betti_z2(x).betti == (1, 1) + (0,) * 13
+    assert not sweep.called
     assert class_membership.peek(x).kbar_fail is None
 
 
