@@ -135,9 +135,9 @@ def tight_neighborly_check(m: SimplicialComplex) -> TightnessReport:
 def parameter_solutions(beta1: int, d_max: int) -> list:
     """All (beta1, d, f0) with 3 <= d <= d_max solving the tightness equation.
 
-    For each d the equation pins m = f0 - d - 2 through m(m+1) =
-    beta1 (d+1)(d+2), solved exactly by :func:`_pronic_root`; at most one
-    f0 exists per d.
+    For each d the equation has a solution exactly when the least f0 that
+    :func:`_least_f0` gives meets it with equality, so at most one f0
+    exists per d.
     """
     if beta1 < 1:
         raise ValueError(f"beta1 must be positive, got {beta1}")
@@ -145,17 +145,22 @@ def parameter_solutions(beta1: int, d_max: int) -> list:
         raise ValueError(f"d_max must be at least 3, got {d_max}")
     out = []
     for d in range(3, d_max + 1):
-        product = beta1 * (d + 1) * (d + 2)
-        m = _pronic_root(product)
-        if m * (m + 1) == product:
-            out.append(ParameterTriple(beta1, d, m + d + 2))
+        f0 = _least_f0(beta1, d)
+        if (f0 - d - 1) * (f0 - d - 2) == beta1 * (d + 1) * (d + 2):
+            out.append(ParameterTriple(beta1, d, f0))
     return out
 
 
-def _pronic_root(t: int) -> int:
-    """The least k >= 0 with k(k+1) >= t, by an integer square root."""
+def _least_f0(beta1: int, d: int) -> int:
+    """The least f0 > d + 2 with (f0-d-1)(f0-d-2) >= beta1 (d+1)(d+2).
+
+    With m = f0 - d - 2 the condition reads m(m+1) >= t for
+    t = beta1 (d+1)(d+2).  The integer square root gives the least k >= 0
+    with k(k+1) >= t exactly, and m is that k, or 1 when k is 0.
+    """
+    t = beta1 * (d + 1) * (d + 2)
     k = (isqrt(max(4 * t + 1, 1)) - 1) // 2
-    return k + (k * (k + 1) < t)
+    return max(k + (k * (k + 1) < t), 1) + d + 2
 
 
 def corollary_bound_check(n: int, d: int) -> bool:
@@ -552,33 +557,52 @@ def bound_chain_audit(
     contradiction.  The degree-sum identity holds in every graph (eps is
     half the degree sum), so it is used but not checked.  ``holds`` means
     the instance behaved exactly as the argument predicts for its beta1.
+    For beta1 = 1, ``degenerate_cycle`` is lemma 2.5's check on the solid
+    of dimension d + 1.
+
+    ``contradiction`` is arithmetic alone: for d >= -1 and beta1 != 1 it
+    equals ``beta1 <= 0 or (beta1 == 2 and d >= 2)``.  Write
+    f0 = m + d + 2 for the least f0 of :func:`_least_f0`, so m >= 1 is
+    least with m(m+1) >= beta1 (d+1)(d+2), and the bound is
+    B = 2(beta1 - 1)(d + 2).
+
+    - beta1 <= 0: B <= -2(d + 2) < d + 2 < f0.
+    - beta1 = 2: f0 > B = 2(d + 2) exactly when m >= d + 3, that is when
+      (d+2)(d+3) < 2(d+1)(d+2), that is when d >= 2.
+    - beta1 >= 3: m0 = (2 beta1 - 3)(d + 2) >= 1 has
+      m0(m0+1) > (2 beta1 - 3)^2 (d+2)^2 >= beta1 (d+1)(d+2), since
+      (2 beta1 - 3)^2 - beta1 = (beta1 - 1)(4 beta1 - 9) > 0.  So
+      m <= m0, and f0 <= m0 + d + 2 = B.
+
+    So an instance decides only the premises: the T bound (which needs
+    minimum degree 2, given by lemma 2.2's 2-connectivity), beta1 read
+    from the graph, and the cover.
     """
     nu = g.num_nodes
     eps = g.num_edges
-    t = high_degree_set(g)
-    t_bound_ok = len(t) <= 2 * (eps - nu)
+    t_size = len(high_degree_set(g))
+    t_bound_ok = t_size <= 2 * (eps - nu)
     beta_graph = eps - nu + 1
     graph_matches = beta_graph == beta1
     witness = {
         "nu": nu,
         "eps": eps,
-        "t_size": len(t),
+        "t_size": t_size,
         "beta1_from_graph": beta_graph,
     }
     if beta1 == 1:
-        degenerate_ok = (n == 2 * (d + 1) + 1) == is_cycle(g)
+        degenerate_ok = _check_cycle_bound(None, g, d + 1, n)[0]
         equation_ok = (n - d - 1) * (n - d - 2) == beta1 * (d + 1) * (d + 2)
         witness["degenerate_cycle"] = degenerate_ok
         witness["equation"] = equation_ok
         holds = t_bound_ok and graph_matches and degenerate_ok and equation_ok
     else:
         bound_n = 2 * (beta1 - 1) * (d + 2)
-        # least m > d + 2 with (m-d-1)(m-d-2) >= beta1 (d+1)(d+2)
-        m = max(_pronic_root(beta1 * (d + 1) * (d + 2)), 1) + d + 2
+        n_min = _least_f0(beta1, d)
         witness["n_bound_from_chain"] = bound_n
-        witness["n_min_from_equation"] = m
-        witness["contradiction"] = m > bound_n
-        holds = t_bound_ok and graph_matches and (m > bound_n)
+        witness["n_min_from_equation"] = n_min
+        witness["contradiction"] = n_min > bound_n
+        holds = t_bound_ok and graph_matches and n_min > bound_n
     if cover_ok is not None:
         holds = holds and cover_ok
     return LemmaReport("tightness-chain", holds, witness)
@@ -587,16 +611,16 @@ def bound_chain_audit(
 def theorem_argument_audit(mbar: SimplicialComplex, beta1: int) -> LemmaReport:
     """Run :func:`bound_chain_audit` on a concrete solid.
 
-    The cover premise is only checkable above the minimal vertex count,
-    so it is evaluated exactly when f0 exceeds 2(d+1)+1.
+    The cover premise is lemma 2.9's check on ``mbar``, and ``None`` where
+    that check's hypothesis fails: solid dimension below 4, or f0 at most
+    2(d+1)+1.
     """
     if mbar.dim < 0 or not is_pure(mbar):
         raise PreconditionError("audit requires a non-empty pure complex")
     g = dual_graph(mbar)
-    d = mbar.dim - 1
     n = mbar.num_vertices
-    cover_ok = None
-    if n > 2 * (d + 1) + 1:
-        cover_ok = is_cover(mbar, high_degree_set(g))
-    return bound_chain_audit(g, n, d, beta1, cover_ok)
-
+    try:
+        cover_ok = _check_degree_three_cover(mbar, g, mbar.dim, n)[0]
+    except LemmaHypothesisError:
+        cover_ok = None
+    return bound_chain_audit(g, n, mbar.dim - 1, beta1, cover_ok)

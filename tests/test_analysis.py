@@ -35,7 +35,7 @@ from trimanifold.complexes import (
     from_facets,
     relabel_vertices,
 )
-from trimanifold.dualgraph import dual_graph
+from trimanifold.dualgraph import dual_graph, high_degree_set
 from trimanifold.errors import (
     LemmaHypothesisError,
     PreconditionError,
@@ -676,3 +676,84 @@ def test_bound_chain_audit_detects_mismatched_beta():
     report = bound_chain_audit(g, 9, 3, 1)
     assert not report.holds
 
+
+
+@pytest.mark.parametrize(
+    "args, witness, t",
+    [
+        ((4, 2, 50), {"nu": 50, "eps": 51, "t_size": 4, "beta1_from_graph": 2,
+                      "n_bound_from_chain": 12, "n_min_from_equation": 14,
+                      "contradiction": True}, [2, 16, 33, 48]),
+        ((5, 2, 60), None, None),
+    ],
+)
+def test_theorem_audit_on_the_bar_solid_of_a_two_handle_body(args, witness, t):
+    # the chain's arithmetic gives the contradiction whatever the body;
+    # these bodies are not neighborly, so the premises fail: the degree->=3
+    # facets miss a vertex, and two facets of degree 1 push |T| past
+    # 2(eps - nu) = 2
+    mbar = walkup.bar_construction(helpers.handle_body(*args))
+    report = theorem_argument_audit(mbar, 2)
+    assert report.witness["contradiction"] and not report.holds
+    g = dual_graph(mbar)
+    cover = analysis._check_degree_three_cover(mbar, g, mbar.dim, mbar.num_vertices)
+    assert cover[0] is False
+    assert report.witness["t_size"] > 2 * (g.num_edges - g.num_nodes) == 2
+    assert sorted(map(len, g.adjacency))[:3] == [1, 1, 2]
+    if witness is not None:
+        assert report.witness == witness
+        assert cover[1] == {"t": t}
+
+
+def test_bound_chain_contradiction_in_closed_form():
+    g = helpers.graph_from_edges(((0,), (1,)), [(0, 1)])
+    mismatches = [
+        (d, beta1)
+        for d in range(2001)
+        for beta1 in range(-2, 8)
+        if beta1 != 1
+        and bound_chain_audit(g, 9, d, beta1).witness["contradiction"]
+        != (beta1 <= 0 or (beta1 == 2 and d >= 2))
+    ]
+    assert mismatches == []
+
+
+@pytest.mark.parametrize(
+    "beta1, d_max, want",
+    [
+        (2, 100, [(13, 35), (83, 204)]),
+        (3, 100, [(4, 15), (19, 56), (75, 209)]),
+        (5, 100, [(5, 21), (43, 144)]),
+        (6, 100, [(13, 50), (33, 119)]),
+        (4, 400, []),
+    ],
+)
+def test_parameter_solutions_frontier(beta1, d_max, want):
+    assert [(t.d, t.f0) for t in parameter_solutions(beta1, d_max)] == want
+
+
+def test_audit_cover_is_none_below_solid_dimension_four():
+    # a pure 3-complex on 9 > 2 * 3 + 1 vertices whose facet graph has cycle
+    # rank 2 and two degree-3 facets, (1, 3, 4, 6) and (2, 6, 7, 8), which
+    # miss vertices 0 and 5; every other premise holds, and lemma 2.9
+    # refuses dimension 3, so the cover premise is None and the chain holds
+    mbar = from_facets([
+        (0, 2, 3, 5), (0, 3, 5, 6), (0, 3, 5, 7), (0, 6, 7, 8), (1, 2, 3, 4),
+        (1, 3, 4, 6), (1, 3, 4, 8), (1, 3, 6, 7), (2, 3, 6, 7), (2, 6, 7, 8),
+        (5, 6, 7, 8),
+    ])
+    g = dual_graph(mbar)
+    assert not is_cover(mbar, high_degree_set(g))
+    with pytest.raises(LemmaHypothesisError):
+        analysis._check_degree_three_cover(mbar, g, mbar.dim, mbar.num_vertices)
+    report = theorem_argument_audit(mbar, 2)
+    assert report == bound_chain_audit(g, 9, 2, 2)
+    assert report.holds
+
+
+def test_bound_chain_degenerate_cycle_is_false_below_the_cycle_size():
+    # a single edge is no cycle, and f0 = 5 < 2 * 4 + 1: lemma 2.5 fails
+    g = helpers.graph_from_edges(((0,), (1,)), [(0, 1)])
+    report = bound_chain_audit(g, 5, 3, 1)
+    assert report.witness["degenerate_cycle"] is False
+    assert not report.holds
