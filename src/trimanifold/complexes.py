@@ -18,7 +18,9 @@ every command-line run would pay for.  The builders are:
   construction and handle addition;
 - :func:`_ridge_incidence`, codimension-one face -> ids of its facets,
   from which :func:`.walkup.class_membership` also reads which vertex
-  links are closed; the class test builds no link at all;
+  links are closed; the class test builds no link at all.
+  :func:`_from_canonical` absorbs faces of two sizes through it and keeps
+  it on a pure result;
 - :func:`_facet_graph_counts`, the edge and component counts of the
   facet graph, from the ridge index with no graph built, read by
   :func:`is_pseudomanifold`, :func:`.walkup.is_stacked_ball`, the
@@ -220,14 +222,26 @@ def _from_canonical(canon: set) -> SimplicialComplex:
     Faces of one size cannot contain one another, so such input is
     returned sorted at once.
 
-    Absorption works through a vertex index.  Faces are taken in groups of
-    equal size, largest first; the largest group is kept whole.  A smaller
-    face is absorbed when one of the kept larger faces through its rarest
-    vertex contains it, the test of :func:`link` on the complex being
-    built.  Testing a face of size k costs k index lookups and at most k
-    steps per kept face through its rarest vertex, so the build is near
-    linear in the input when vertex degrees are bounded; a scan of every
-    larger face would be quadratic.
+    Input of exactly two sizes k and k - 1, the shape of noisy FCT, is
+    absorbed through the ridge index: a face one vertex short of size k
+    lies in a face of size k exactly when it is one of that face's
+    ridges, a key of :func:`_ridge_incidence` of the complex of the size-k
+    faces.  When every smaller face is absorbed, that complex is returned
+    with its index memoised, for the readers that need it next.  Faces
+    that survive join it as facets, and the index, now of a different and
+    impure complex, is dropped: such input pays for an index it does not
+    keep, k ridge tuples per size-k face and a list per distinct ridge,
+    more than the vertex index below would cost, above all while the
+    cyclic garbage collector runs.
+
+    Other input is absorbed through a vertex index.  Faces are taken in
+    groups of equal size, largest first; the largest group is kept whole.
+    A smaller face is absorbed when one of the kept larger faces through
+    its rarest vertex contains it, the test of :func:`link` on the complex
+    being built.  Testing a face of size k costs k index lookups and at
+    most k steps per kept face through its rarest vertex, so the build is
+    near linear in the input when vertex degrees are bounded; a scan of
+    every larger face would be quadratic.
     """
     if not canon:
         raise EmptyComplexError("at least one non-empty face is required")
@@ -237,6 +251,11 @@ def _from_canonical(canon: set) -> SimplicialComplex:
     for f in canon:
         groups.setdefault(len(f), []).append(f)
     sizes = sorted(groups, reverse=True)
+    if len(sizes) == 2 and sizes[1] == sizes[0] - 1:
+        top = SimplicialComplex(tuple(sorted(groups[sizes[0]])))
+        ridges = _ridge_incidence(top)
+        stray = tuple(f for f in groups[sizes[1]] if f not in ridges)
+        return SimplicialComplex(tuple(sorted(top.facets + stray))) if stray else top
     kept = groups[sizes[0]]
     maximal = list(kept)
     through: dict[int, list[set]] = {}  # vertex -> kept larger faces on it

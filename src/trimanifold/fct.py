@@ -30,7 +30,10 @@ not a label or is negative, naming its 1-based line; when every token is
 a label (``-0``, or text split by non-ASCII whitespace), it too yields
 sorted faces.  Either set goes straight to the absorption step,
 :func:`~trimanifold.complexes._from_canonical`, which neither checks
-labels nor sorts faces again.
+labels nor sorts faces again.  Noisy text, facets with stray ridges and
+duplicates, holds faces of two sizes; its ridges are absorbed through
+the ridge index of the facets, which the complex keeps for the readers
+that need it next.  The lines are dropped before that index is built.
 
 Writers emit facets in lexicographic order with no trailing whitespace,
 so equal complexes serialise to identical bytes.
@@ -65,6 +68,7 @@ def loads(text: str) -> SimplicialComplex:
     if canon is None:
         canon = _faces_by_line(bodies)
     canon.discard(())
+    del lines, bodies  # not held alongside the ridge index of absorption
     try:
         return _from_canonical(canon)
     except EmptyComplexError:

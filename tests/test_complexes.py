@@ -12,6 +12,7 @@ from trimanifold.complexes import (
     EMPTY,
     SimplicialComplex,
     _facet_graph_counts,
+    _ridge_incidence,
     _vertex_facets,
     boundary_complex,
     f_vector,
@@ -142,8 +143,22 @@ def layered_faces(draw):
 
 
 @given(layered_faces())
+@example([[0, 1, 2, 3], [1, 2, 3, 4], [0, 1, 2], [2, 3, 4], [1, 2, 3]])
+@example([[0, 1, 2, 3], [0, 1, 4], [0, 1, 2]])  # a dangling triangle: impure
+@example([[0, 1], [1, 2], [2, 3], [1], [4], [5]])  # 1-tuple ridges, stray vertices
+@example([[0, 1], [1, 2], [2], [0]])  # every vertex absorbed
+@example([[0, 1, 2, 3], [0, 1], [4, 5], [2, 3]])  # sizes 4 and 2: a gap
 def test_from_facets_against_pairwise_scan(faces):
-    assert from_facets(faces).facets == helpers.maximal_faces_by_pairs(faces)
+    x = from_facets(faces)
+    assert x.facets == helpers.maximal_faces_by_pairs(faces)
+    # input of sizes k and k - 1 is absorbed through the ridge index of the
+    # size-k faces, which a pure result keeps; no other input builds one
+    sizes = {len(f) for f in faces}
+    stored = _ridge_incidence.peek(x)
+    if len(sizes) == 2 and max(sizes) - min(sizes) == 1 and is_pure(x):
+        assert stored == _ridge_incidence(SimplicialComplex(x.facets))
+    else:
+        assert stored is None
 
 
 def test_from_facets_absorbs_below_a_smaller_face():

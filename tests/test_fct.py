@@ -9,7 +9,13 @@ from hypothesis import example, given, strategies as st
 
 import helpers
 from trimanifold import fct
-from trimanifold.complexes import EMPTY, SimplicialComplex, boundary_complex, from_facets
+from trimanifold.complexes import (
+    EMPTY,
+    SimplicialComplex,
+    _ridge_incidence,
+    boundary_complex,
+    from_facets,
+)
 from trimanifold.errors import FctFormatError
 from trimanifold.walkup import kuehnel_solid, random_stacked_ball
 
@@ -276,23 +282,59 @@ def test_noisy_loads_has_no_size_cliff():
     assert dt < 5.0, f"loads took {dt:.2f} s, budget 5 s"
 
 
+def _with_ridges(x, rng):
+    """FCT text of ``x`` in a shuffled line order with a quarter as many
+    ridge lines as facets, a tenth duplicated with shuffled vertices and a
+    trailing comment, and comment and blank lines: faces of two sizes."""
+    lines = [" ".join(map(str, f)) for f in x.facets]
+    for _ in range(len(x.facets) // 4):
+        f = list(rng.choice(x.facets))
+        f.pop(rng.randrange(len(f)))
+        lines.append(" ".join(map(str, f)))
+    for _ in range(len(x.facets) // 10):
+        f = list(rng.choice(x.facets))
+        rng.shuffle(f)
+        lines.append("  ".join(map(str, f)) + "  # duplicate")
+    lines += ["# comment", ""] * (len(x.facets) // 20)
+    rng.shuffle(lines)
+    return "".join(line + "\n" for line in lines)
+
+
+def test_noisy_loads_keeps_the_ridge_index_it_absorbed_through():
+    # the stray ridges are absorbed through the ridge index of the facets,
+    # which the complex keeps for the pseudomanifold test and the boundary;
+    # a plain read of one face size builds no index at all
+    x = random_stacked_ball(3, 300, seed=3)
+    loaded = fct.loads(_with_ridges(x, random.Random(3)))
+    assert loaded == x
+    stored = _ridge_incidence.peek(loaded)
+    fresh = _ridge_incidence(SimplicialComplex(x.facets))
+    assert stored == fresh and list(stored) == list(fresh)
+    assert _ridge_incidence.peek(fct.loads(fct.dumps(x))) is None
+
+
 def test_loads_peak_memory_per_facet_does_not_grow():
     # canonical lines in shuffled order on a doubling ladder; lines are
-    # read a block at a time, so only the faces grow with the input
-    per_facet = []
+    # read a block at a time, so only the faces grow with the input.  Noisy
+    # text also holds the ridge index of its absorption at the peak, and
+    # its lines are dropped before that index is built
+    per_facet = {"plain": [], "noisy": []}
     for m in (5000, 10000, 20000):
         x = random_stacked_ball(3, m, seed=7)
         lines = [" ".join(map(str, f)) + "\n" for f in x.facets]
         random.Random(1).shuffle(lines)
-        text = "".join(lines)
-        tracemalloc.start()
-        try:
-            loaded = fct.loads(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert loaded == x
-        per_facet.append(peak / len(x.facets))
-    assert max(per_facet) <= 1.1 * per_facet[0], per_facet
+        texts = {"plain": "".join(lines), "noisy": _with_ridges(x, random.Random(1))}
+        for kind, text in texts.items():
+            tracemalloc.start()
+            try:
+                loaded = fct.loads(text)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert loaded == x
+            assert (_ridge_incidence.peek(loaded) is None) == (kind == "plain")
+            per_facet[kind].append(peak / len(x.facets))
+    for kind, ladder in per_facet.items():
+        assert max(ladder) <= 1.1 * ladder[0], (kind, ladder)
     # every token of the text held at once takes over 680 B per facet
-    assert per_facet[-1] < 560, per_facet
+    assert per_facet["plain"][-1] < 560, per_facet
