@@ -16,10 +16,15 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 import trimanifold
-from trimanifold import complexes, fct, walkup
+from trimanifold import complexes, fct, homology, walkup
 from trimanifold.analysis import LEMMA_IDS, VertexBijection
 from trimanifold.cli import CHECK_NAMES, build_parser, main
-from trimanifold.complexes import boundary_complex, from_facets, relabel_vertices
+from trimanifold.complexes import (
+    SimplicialComplex,
+    boundary_complex,
+    from_facets,
+    relabel_vertices,
+)
 from trimanifold.walkup import kuehnel_solid, kuehnel_torus, random_stacked_ball
 
 
@@ -745,17 +750,38 @@ def test_in_process_calls_match_separate_processes(capsys, tmp_path):
         assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
 
 
+def _loaded_by_importing(module: str) -> set:
+    """The names in ``sys.modules`` after a fresh interpreter imports
+    ``module``; -S keeps site hooks out, so only the package's count."""
+    src = os.path.dirname(os.path.dirname(trimanifold.__file__))
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", f"import sys, {module}; print(*sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    return set(child.stdout.split())
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # every command-line run pays for its imports, and these two are among
-    # the dearest; -S keeps site hooks out, so only the package's count
-    src = os.path.dirname(os.path.dirname(trimanifold.__file__))
-    probe = ("import sys, trimanifold.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    child = subprocess.run(
-        [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": src}, check=True,
-    )
-    assert child.stdout == "[]\n"
+    # the dearest
+    assert not {"dataclasses", "inspect"} & _loaded_by_importing("trimanifold.cli")
+
+
+@pytest.mark.parametrize(("layer", "below"), [
+    ("errors", set()),
+    ("complexes", {"errors"}),
+    ("fct", {"complexes", "errors"}),
+    ("dualgraph", {"complexes", "errors"}),
+    ("walkup", {"complexes", "dualgraph", "errors"}),
+    ("homology", {"complexes", "dualgraph", "errors", "walkup"}),
+    ("analysis", {"complexes", "dualgraph", "errors", "homology", "walkup"}),
+])
+def test_importing_a_layer_loads_only_the_layers_below_it(layer, below):
+    # the package namespace binds nothing, so a layer pulls in what it
+    # imports and no more
+    loaded = _loaded_by_importing(f"trimanifold.{layer}")
+    assert {m.removeprefix("trimanifold.") for m in loaded
+            if m.startswith("trimanifold.")} == below | {layer}
 
 
 def test_usage_error_leaves_the_parser_usable(capsys, tmp_path):
@@ -822,3 +848,75 @@ def test_cli_never_fails_internally(faces, other, labels, data):
         ]
         for argv in calls:
             assert _quiet_main(*argv) in (0, 1, 2), argv
+
+
+@st.composite
+def near_misses(draw):
+    """Raw faces one mutation away from a generator output at d = 3..10:
+    the Kühnel torus or solid, the boundary of a stacked (d+1)-ball or a
+    one-handle body, with a facet dropped or added, two vertices merged,
+    a shifted copy sharing at most 3 vertices joined on, or its labels
+    spread out and permuted."""
+    d = draw(st.integers(3, 10))
+    kind = draw(st.sampled_from(("torus", "solid", "sphere", "handle")))
+    if kind == "torus":
+        x = kuehnel_torus(d)
+    elif kind == "solid":
+        x = kuehnel_solid(d)
+    elif kind == "sphere":
+        x = boundary_complex(random_stacked_ball(d + 1, draw(st.integers(1, 2 * d)),
+                                                 draw(st.integers(0, 99))))
+    else:
+        x = helpers.handle_body(d, 1, 3 * (d + 2))
+    faces, labels = [list(f) for f in x.facets], list(x.vertices)
+    mutation = draw(st.sampled_from(("drop", "add", "merge", "union", "relabel")))
+    if mutation == "drop":
+        del faces[draw(st.integers(0, len(faces) - 1))]
+    elif mutation == "add":
+        pool = labels + [labels[-1] + 1, labels[-1] + 2]
+        size = len(faces[0])
+        faces.append(draw(st.lists(st.sampled_from(pool), min_size=size,
+                                   max_size=size, unique=True)))
+    elif mutation == "merge":
+        keep, gone = draw(st.lists(st.sampled_from(labels), min_size=2, max_size=2,
+                                   unique=True))
+        faces = [sorted({keep if v == gone else v for v in f}) for f in faces]
+    elif mutation == "union":
+        offset = labels[-1] + 1 - draw(st.integers(0, 3))
+        faces += helpers.shifted(x, offset).facets
+    else:
+        spread = dict(zip(labels, (3 * v + 1 for v in draw(st.permutations(labels)))))
+        faces = [[spread[v] for v in f] for f in faces]
+    return faces
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_misses(), st.data())
+def test_cli_never_fails_internally_near_the_generators(faces, data):
+    # the gated routes (class Betti numbers at d >= 7, the cone peel on
+    # large links, the stored reports) need inputs beyond the small random
+    # lists above; betti is checked against the sweep on a fresh copy, the
+    # one oracle that never takes the class route
+    x = from_facets(faces)
+    counts, ranks = homology._sweep(SimplicialComplex(x.facets), x.dim)
+    want = [counts[k] - ranks[k] - ranks[k + 1] for k in range(len(counts))]
+    labels = x.vertices
+    image = dict(zip(labels, (2 * v + 5 for v in data.draw(st.permutations(labels)))))
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        a, copy = work / "a.fct", work / "copy.fct"
+        a.write_text(_fct_text(faces))
+        copy.write_text(_fct_text([[image[v] for v in f] for f in x.facets]))
+        calls = [
+            ("check", str(a), "--checks", ",".join(CHECK_NAMES)),
+            ("verify", str(a), "--lemmas", ",".join(LEMMA_IDS)),
+            ("boundary", str(a), "-o", str(work / "boundary.fct")),
+            ("bar", str(a), "-o", str(work / "bar.fct")),
+            ("iso", str(a), str(copy)),
+        ]
+        for argv in calls:
+            assert _quiet_main(*argv) in (0, 1, 2), argv
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["betti", str(a)]) == 0
+    assert json.loads(out.getvalue())["betti"] == want
