@@ -40,7 +40,7 @@ from .errors import (
     ReconstructionFailure,
     UnknownLemmaError,
 )
-from .homology import _betti01
+from .homology import _betti
 from .walkup import class_membership
 
 __all__ = [
@@ -116,13 +116,13 @@ def tight_neighborly_check(m: SimplicialComplex) -> TightnessReport:
 
     The left side is C(f0-d-1, 2), the right side C(d+2, 2) * beta1 with
     beta1 taken mod 2.  Equality is what the literature calls tight
-    neighborly.  beta0 and beta1 come from :func:`.homology._betti01`,
-    which reads them from a memoised class report and otherwise from the
-    two small boundary ranks.
+    neighborly.  beta0 and beta1 come from :func:`.homology._betti`,
+    through the one class gate that :func:`.homology.betti_z2` also takes,
+    and otherwise from the two small boundary ranks.
     """
     if m.dim < 0:
         raise PreconditionError("empty input")
-    beta0, beta1 = _betti01(m)
+    beta0, beta1 = _betti(m, 2)
     if beta0 != 1:
         raise PreconditionError("input must be connected")
     d = m.dim

@@ -51,12 +51,14 @@ becomes one when it is first added.
 Each level (the k-faces) is read from :func:`.complexes.faces_of_dim` at
 the start of its round, and f_0 is the vertex count.
 
-Theorem (Walkup 1970 for d = 3; Kalai, "Rigidity and the lower bound
-theorem I", 1987, for d >= 4): a connected complex of dimension d >= 3
-whose vertex links are all stacked spheres (class K) is a stacked sphere
-with k handles added.  So its mod-2 Betti vector is (1, k, 0, ..., 0, k,
-1), and g2 = f_1 - (d+1) f_0 + C(d+2, 2) = C(d+2, 2) k, as each handle
-merges d + 1 vertex pairs and C(d+1, 2) edge pairs.
+Theorem (Kalai, "Rigidity and the lower bound theorem I", 1987): a
+connected complex of dimension d >= 4 whose vertex links are all stacked
+spheres (class K) is a stacked sphere with k handles added.  So its mod-2
+Betti vector is (1, k, 0, ..., 0, k, 1), and g2 = f_1 - (d+1) f_0 +
+C(d+2, 2) = C(d+2, 2) k, as each handle merges d + 1 vertex pairs and
+C(d+1, 2) edge pairs.  At d = 3 this fails: K(3) holds 3-spheres that
+are not stacked, with g2 any count of 2-3 bistellar moves, so class K
+answers only from d = 4 and a 3-dimensional member is swept.
 
 A complex X of dimension d >= 2 whose vertex links are all stacked balls
 (class K-bar) has the mod-2 Betti vector (1, eps - nu + 1, 0, ..., 0) when
@@ -73,8 +75,13 @@ of its cycle space, and the rest vanish.
 Homology adds over components, so c components give (c, k, 0, ..., 0,
 k, c) in class K, where k = (f_1 - (d+1) f_0 + c C(d+2, 2)) / C(d+2, 2)
 counts the handles of all of them, and (c, eps - nu + c, 0, ..., 0) in
-class K-bar.  :func:`betti_z2` reads the vector from the class report
-through :func:`_class_betti`, and sweeps when that does not answer.
+class K-bar.
+
+One helper, :func:`_betti`, gives the first n Betti numbers, from
+:func:`_class_betti` when it answers and otherwise from the sweep up to
+level min(n, d), so b_0 and b_1 need only d_1 and d_2.  Whether a class
+report is read or built is decided only in
+:func:`.walkup._stacked_link_counts`.
 """
 
 from __future__ import annotations
@@ -93,7 +100,7 @@ from .complexes import (
 )
 from .dualgraph import DualGraph, dual_graph
 from .errors import PreconditionError
-from .walkup import _memoised_report, _stacked_link_counts
+from .walkup import _stacked_link_counts
 
 __all__ = [
     "Z2Matrix",
@@ -243,11 +250,12 @@ def _sweep(x: SimplicialComplex, top: int) -> tuple[list[int], list[int]]:
 
 def _class_betti(x: SimplicialComplex) -> tuple | None:
     """Mod-2 Betti vector by the theorems of the module docstring, from the
-    counts of :func:`.walkup._stacked_link_counts` (d >= 3 and class K or
-    K-bar) and the facet graph counts; None when those counts do not
-    answer.  A remainder in g2 raises AssertionError."""
+    counts of :func:`.walkup._stacked_link_counts` (d >= 4 in class K, d >= 3
+    in class K-bar) and the facet graph counts; None when those counts do
+    not answer.  A remainder in g2 raises AssertionError."""
     route = _stacked_link_counts(x)
-    if route is None:
+    # K(3) holds 3-spheres that are not stacked: no closed form there
+    if route is None or (route[0] and x.dim == 3):
         return None
     sphere, f = route
     edges, c = _facet_graph_counts(x)
@@ -260,35 +268,26 @@ def _class_betti(x: SimplicialComplex) -> tuple | None:
     return (c, k) + (0,) * (len(f) - 4) + (k, c)
 
 
-def betti_z2(x: SimplicialComplex) -> BettiVector:
-    """Full mod-2 Betti vector b_0..b_d, from the class report for input
-    in class K or K-bar (see the module docstring) and from the sweep
-    otherwise."""
+def _betti(x: SimplicialComplex, count: int) -> tuple:
+    """Mod-2 Betti numbers b_0..b_{count-1} of a non-empty complex, 0 past
+    its dimension d: from :func:`_class_betti` when it answers, and
+    otherwise b_k = f_k - r_k - r_{k+1} from :func:`_sweep` up to level
+    min(count, d), which is b_k below that level and at level d."""
     betti = _class_betti(x)
-    if betti is not None:
-        return BettiVector(betti)
-    counts, ranks = _sweep(x, x.dim)
-    return BettiVector(
-        tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(len(counts)))
-    )
+    if betti is None:
+        counts, ranks = _sweep(x, min(count, x.dim))
+        betti = [counts[k] - ranks[k] - ranks[k + 1] for k in range(len(counts))]
+    return tuple(betti[:count]) + (0,) * (count - x.dim - 1)
 
 
-def _betti01(x: SimplicialComplex) -> tuple[int, int]:
-    """Mod-2 (b_0, b_1) of a non-empty complex: from the class report only
-    when one is memoised, as the class test costs more than the two small
-    boundary ranks, and from those ranks otherwise."""
-    if _memoised_report(x) is not None and (betti := _class_betti(x)) is not None:
-        return betti[:2]
-    counts, ranks = _sweep(x, min(2, x.dim))
-    b1 = counts[1] - ranks[1] - ranks[2] if len(counts) > 1 else 0
-    return counts[0] - ranks[1], b1
+def betti_z2(x: SimplicialComplex) -> BettiVector:
+    """Full mod-2 Betti vector b_0..b_d, as :func:`_betti` reads it."""
+    return BettiVector(_betti(x, x.dim + 1))
 
 
 def beta1_z2(x: SimplicialComplex) -> int:
-    """First mod-2 Betti number alone, as :func:`_betti01` reads it."""
-    if x.dim < 1:
-        return 0
-    return _betti01(x)[1]
+    """First mod-2 Betti number alone, from :func:`_betti` up to level 2."""
+    return _betti(x, 2)[1] if x.dim > 0 else 0
 
 
 def beta1_dual_formula(x: SimplicialComplex) -> int:

@@ -21,6 +21,7 @@ that builds every vertex link and runs both recognisers on it.
 """
 
 import io
+import random
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -449,6 +450,101 @@ def handle_body(d: int, k: int, m: int) -> SimplicialComplex:
     for sigma1, sigma2 in zip(sigmas[0::2], sigmas[1::2]):
         x = handle_addition(x, HandleMap.create(sigma1, sigma2, dict(zip(sigma1, sigma2))))
     return x
+
+
+def _stacked_2sphere_by_degree_three(triangles) -> bool:
+    """A triangulated 2-sphere is stacked exactly when its graph is a
+    3-tree, that is when deleting vertices of degree 3, in any order,
+    leaves the 4 vertices of a tetrahedron."""
+    nbr: dict = {}
+    for tri in triangles:
+        for v in tri:
+            nbr.setdefault(v, set()).update(u for u in tri if u != v)
+    todo = [v for v, us in nbr.items() if len(us) == 3]
+    while todo and len(nbr) > 4:
+        v = todo.pop()
+        if v not in nbr or len(nbr[v]) != 3:
+            continue
+        for u in nbr.pop(v):
+            nbr[u].discard(v)
+            if len(nbr[u]) == 3:
+                todo.append(u)
+    return len(nbr) == 4 and all(len(us) == 3 for us in nbr.values())
+
+
+def bistellar_sphere(m: int, seed: int, moves: int) -> SimplicialComplex:
+    """A PL 3-sphere in Walkup's class K with g2 = f1 - 4 f0 + 10 = ``moves``.
+
+    Starts from the stacked sphere ``boundary_complex(random_stacked_ball(4,
+    m, seed))`` and makes ``moves`` seeded 2-3 moves: a triangle abc in the
+    facets abcx and abcy, with xy not an edge, is replaced by the edge xy,
+    so the two facets become xyab, xybc and xyac.  In lk x and lk y the move
+    cones over a triangle, which keeps them stacked; in lk a, lk b and lk c
+    it flips an edge, and the move is taken only when those three links
+    stay stacked.  f0 stays and f1 gains 1, so each move adds 1 to g2, and
+    for moves >= 1 the sphere is not stacked.  The triangle -> facets map,
+    the stars and the edges are kept up to date move by move, so a move
+    costs about the size of three links, not of the sphere.
+    """
+    rng = random.Random(seed)
+    facets = list(boundary_complex(random_stacked_ball(4, m, seed)).facets)
+    where = {f: i for i, f in enumerate(facets)}
+    star: dict = {}
+    across: dict = {}  # triangle -> the facets through it
+    edges = set()
+    for f in facets:
+        for v in f:
+            star.setdefault(v, set()).add(f)
+        for tri in combinations(f, 3):
+            across.setdefault(tri, set()).add(f)
+        edges.update(combinations(f, 2))
+
+    def swap(gone, new):
+        for f in gone:
+            i = where.pop(f)
+            last = facets.pop()
+            if last != f:
+                facets[i], where[last] = last, i
+            for v in f:
+                star[v].discard(f)
+            for tri in combinations(f, 3):
+                across[tri].discard(f)
+        for f in new:
+            where[f] = len(facets)
+            facets.append(f)
+            for v in f:
+                star[v].add(f)
+            for tri in combinations(f, 3):
+                across.setdefault(tri, set()).add(f)
+
+    done = 0
+    for _ in range(100 * moves + 100):
+        if done == moves:
+            break
+        first = facets[rng.randrange(len(facets))]
+        x = first[rng.randrange(4)]
+        abc = tuple(v for v in first if v != x)
+        (other,) = across[abc] - {first}
+        (y,) = set(other) - set(abc)
+        xy = (min(x, y), max(x, y))
+        if xy in edges:
+            continue
+        new = [tuple(sorted(xy + pair)) for pair in combinations(abc, 2)]
+        if not all(
+            _stacked_2sphere_by_degree_three(
+                [tuple(u for u in f if u != v) for f in star[v] if f not in (first, other)]
+                + [tuple(u for u in f if u != v) for f in new if v in f]
+            )
+            for v in abc
+        ):
+            continue
+        swap((first, other), new)
+        del across[abc]
+        edges.add(xy)
+        done += 1
+    if done != moves:
+        raise ValueError(f"only {done} of {moves} moves found")
+    return from_facets(facets)
 
 
 def star_ball(d: int, m: int) -> SimplicialComplex:

@@ -80,18 +80,23 @@ def test_tight_neighborly_rejects_disconnected():
             tight_neighborly_check(x)
 
 
-def test_tight_neighborly_reads_beta1_from_g2_only_after_the_class_test():
-    # a copy, as the generator stores the class report it proves
+def test_tight_neighborly_reads_beta1_through_the_one_class_gate():
+    # a copy, as the generator stores the class report it proves; at d = 9
+    # the gate of _stacked_link_counts runs the class test, once, and beta1
+    # comes from g2 with no level swept
     x = SimplicialComplex(kuehnel_torus(9).facets)
-    with mock.patch.object(walkup, "class_membership", wraps=walkup.class_membership) as cm:
-        first = tight_neighborly_check(x)
-    assert cm.call_count == 0
-    assert walkup.class_membership.peek(x) is None
-    walkup.class_membership(x)
+    with mock.patch.object(walkup, "class_membership", wraps=walkup.class_membership) as cm, \
+            mock.patch.object(homology, "_sweep", wraps=homology._sweep) as sweep:
+        report = tight_neighborly_check(x)
+    assert cm.call_count == 1 and not sweep.called
+    assert walkup.class_membership.peek(x) == walkup.ClassReport(None, 0)
+    assert report.beta1 == 1 and report.is_equality
+    # one facet short it is in neither class, so the two-level sweep answers
+    y = SimplicialComplex(x.facets[1:])
     with mock.patch.object(homology, "_sweep", wraps=homology._sweep) as sweep:
-        assert tight_neighborly_check(x) == first
-    assert not sweep.called
-    assert first.beta1 == 1 and first.is_equality
+        near = tight_neighborly_check(y)
+    assert [c.args for c in sweep.call_args_list] == [(y, 2)]
+    assert near.beta1 == helpers.betti_by_matrices(y)[1] == 1
 
 
 def test_parameter_solutions_frozen_lists():

@@ -805,6 +805,22 @@ def facet_lists(draw):
     return draw(st.lists(face, min_size=1, max_size=8))
 
 
+@pytest.mark.parametrize("m, seed, moves", [(30, 1, 1), (40, 0, 10), (400, 5, 60)])
+def test_check_gives_bistellar_spheres_one_tightness_witness(capsys, tmp_path, m, seed, moves):
+    # 3-spheres in class K that are not stacked: the class test run first
+    # must not change beta1, which is 0
+    path = tmp_path / "s.fct"
+    fct.write_fct(helpers.bistellar_sphere(m, seed, moves), path)
+    witnesses = []
+    for checks in ("class-k,tight-neighborly", "tight-neighborly"):
+        code, out, _ = run(capsys, "check", str(path), "--checks", checks)
+        report = json.loads(out)["checks"]
+        assert code == 0 and all(c["holds"] for c in report)
+        witnesses.append(report[-1]["witness"])
+    assert witnesses[0] == witnesses[1]
+    assert witnesses[0]["beta1"] == 0
+
+
 def _fct_text(faces) -> str:
     return "".join(" ".join(map(str, f)) + "\n" for f in faces)
 
@@ -854,11 +870,12 @@ def test_cli_never_fails_internally(faces, other, labels, data):
 def near_misses(draw):
     """Raw faces one mutation away from a generator output at d = 3..10:
     the Kühnel torus or solid, the boundary of a stacked (d+1)-ball or a
-    one-handle body, with a facet dropped or added, two vertices merged,
-    a shifted copy sharing at most 3 vertices joined on, or its labels
-    spread out and permuted."""
+    one-handle body, or at d = 3 a sphere of :func:`helpers.bistellar_sphere`,
+    with a facet dropped or added, two vertices merged, a shifted copy
+    sharing at most 3 vertices joined on, or its labels spread out and
+    permuted."""
     d = draw(st.integers(3, 10))
-    kind = draw(st.sampled_from(("torus", "solid", "sphere", "handle")))
+    kind = draw(st.sampled_from(("torus", "solid", "sphere", "handle", "bistellar")))
     if kind == "torus":
         x = kuehnel_torus(d)
     elif kind == "solid":
@@ -866,8 +883,11 @@ def near_misses(draw):
     elif kind == "sphere":
         x = boundary_complex(random_stacked_ball(d + 1, draw(st.integers(1, 2 * d)),
                                                  draw(st.integers(0, 99))))
-    else:
+    elif kind == "handle":
         x = helpers.handle_body(d, 1, 3 * (d + 2))
+    else:
+        m = draw(st.integers(10, 40))
+        x = helpers.bistellar_sphere(m, draw(st.integers(0, 99)), draw(st.integers(1, m // 4)))
     faces, labels = [list(f) for f in x.facets], list(x.vertices)
     mutation = draw(st.sampled_from(("drop", "add", "merge", "union", "relabel")))
     if mutation == "drop":

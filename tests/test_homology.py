@@ -2,22 +2,37 @@ from time import perf_counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from trimanifold import homology
-from trimanifold.complexes import EMPTY, boundary_complex, f_vector, from_facets, relabel_vertices
+from trimanifold.analysis import tight_neighborly_check
+from trimanifold.complexes import (
+    EMPTY,
+    boundary_complex,
+    f_vector,
+    faces_of_dim,
+    from_facets,
+    relabel_vertices,
+)
 from trimanifold.errors import PreconditionError
 from trimanifold.homology import (
     Z2Matrix,
-    _betti01,
+    _betti,
     beta1_dual_formula,
     beta1_z2,
     betti_z2,
     chain_complex,
     is_orientable,
 )
-from trimanifold.walkup import class_membership, kuehnel_solid, kuehnel_torus, random_stacked_ball
+from trimanifold.walkup import (
+    ClassReport,
+    class_membership,
+    is_stacked_sphere,
+    kuehnel_solid,
+    kuehnel_torus,
+    random_stacked_ball,
+)
 
 
 def _pack_columns(rows):
@@ -181,7 +196,7 @@ def test_betti_sweep_matches_full_matrices(x):
     b1 = want[1] if len(want) > 1 else 0
     assert betti_z2(x).betti == want
     assert beta1_z2(x) == b1
-    assert _betti01(x) == (want[0], b1)
+    assert _betti(x, 2) == (want[0], b1)
 
 
 def _assert_levels_read_once(x):
@@ -221,7 +236,7 @@ def test_betti_sweep_matches_full_matrices_after_relabelling(x, data):
     b1 = want[1] if len(want) > 1 else 0
     assert want == helpers.betti_by_matrices(x)
     assert betti_z2(y).betti == want
-    assert _betti01(y) == (want[0], b1)
+    assert _betti(y, 2) == (want[0], b1)
 
 
 def test_betti_of_kuehnel_family_and_stacked_spheres_against_full_matrices():
@@ -237,6 +252,38 @@ def test_betti_of_kuehnel_family_and_stacked_spheres_against_full_matrices():
         cases.append((boundary_complex(ball), sphere))
     for x, want in cases:
         assert betti_z2(x).betti == helpers.betti_by_matrices(x) == want, x.facets[0]
+
+
+def _g2(x):
+    """g2 = f1 - 4 f0 + 10 of a 3-complex, its edges counted from the facets."""
+    return len(faces_of_dim(x, 1)) - 4 * x.num_vertices + 10
+
+
+@settings(deadline=None)
+@given(st.integers(10, 40), st.integers(0, 99), st.data())
+def test_bistellar_spheres_in_class_k_against_full_matrices(m, seed, data):
+    # every link of these 3-spheres is a stacked 2-sphere, but g2 counts the
+    # 2-3 moves, so no stacked sphere with handles has their counts; the
+    # Betti numbers must not depend on whether the class report is memoised
+    moves = data.draw(st.integers(0, m // 4))
+    x = helpers.bistellar_sphere(m, seed, moves)
+    want = helpers.betti_by_matrices(x)
+    assert want == (1, 0, 0, 1) and _g2(x) == moves
+    assert betti_z2(x).betti == want and beta1_z2(x) == 0
+    assert tight_neighborly_check(x).beta1 == 0
+    assert class_membership(x) == ClassReport(None, 0)
+    assert homology._class_betti(x) is None
+    assert betti_z2(x).betti == want and beta1_z2(x) == 0
+    assert tight_neighborly_check(x).beta1 == 0
+    assert is_stacked_sphere(x) == (moves == 0)
+
+
+def test_a_large_bistellar_sphere_after_the_class_test():
+    x = helpers.bistellar_sphere(3000, 1, 300)
+    assert x.num_vertices == 3004 and _g2(x) == 300
+    assert class_membership(x) == ClassReport(None, 0)
+    assert betti_z2(x).betti == (1, 0, 0, 1)
+    assert tight_neighborly_check(x).beta1 == 0
 
 
 def test_betti_of_kuehnel_torus_12_within_budget():

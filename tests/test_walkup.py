@@ -533,7 +533,8 @@ def test_stacked_link_counts_against_enumeration_and_full_matrices(make, want):
     assert counts == enumerated == f_vector(x).counts
     full = helpers.betti_by_matrices(x)
     assert betti_z2(x).betti == full == want
-    assert homology._class_betti(x) == full
+    # K(3) holds spheres that are not stacked, so class K answers from d = 4
+    assert homology._class_betti(x) == (None if in_k and x.dim == 3 else full)
 
 
 def test_stacked_link_counts_below_the_gate_need_a_memoised_report():
