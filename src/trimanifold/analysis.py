@@ -1,20 +1,18 @@
-"""Tightness arithmetic, structural lemma checks, and vertex-order recovery.
+"""Tightness and lemma checks on a complex, isomorphism and order recovery.
 
 The counting results verified here tie the facet graph of a neighborly
 complex with stacked-ball vertex links to its face numbers, and the
-tight-neighborliness equation
-
-    (f0 - d - 1)(f0 - d - 2) = beta1 * (d + 1)(d + 2)
-
-to the first mod-2 Betti number.  Lemma checks are registered under
-short opaque ids; each one either evaluates its claim exactly or raises
-when the input misses the claim's hypothesis, never passing vacuously.
+tightness inequality of :mod:`.tightness` to the first mod-2 Betti
+number.  Lemma checks are registered under the ids of
+:data:`.tightness.LEMMA_IDS`; each one either evaluates its claim exactly
+or raises when the input misses the claim's hypothesis, never passing
+vacuously.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from math import comb, isqrt
+from math import comb
 from typing import NamedTuple
 
 from .complexes import (
@@ -41,33 +39,22 @@ from .errors import (
     UnknownLemmaError,
 )
 from .homology import _betti
+from .tightness import LEMMA_IDS, _least_f0
 from .walkup import class_membership
 
 __all__ = [
-    "ParameterTriple",
     "LemmaReport",
     "TightnessReport",
     "VertexBijection",
     "tight_neighborly_check",
-    "parameter_solutions",
-    "corollary_bound_check",
     "is_critical",
     "is_cover",
     "verify_lemma",
-    "LEMMA_IDS",
     "are_isomorphic",
     "uniqueness_reconstruction",
     "theorem_argument_audit",
     "bound_chain_audit",
 ]
-
-
-class ParameterTriple(NamedTuple):
-    """One solution of the tight-neighborliness equation."""
-
-    beta1: int
-    d: int
-    f0: int
 
 
 class LemmaReport(NamedTuple):
@@ -132,44 +119,6 @@ def tight_neighborly_check(m: SimplicialComplex) -> TightnessReport:
     return TightnessReport(lhs >= rhs, lhs == rhs, lhs, rhs, beta1)
 
 
-def parameter_solutions(beta1: int, d_max: int) -> list:
-    """All (beta1, d, f0) with 3 <= d <= d_max solving the tightness equation.
-
-    For each d the equation has a solution exactly when the least f0 that
-    :func:`_least_f0` gives meets it with equality, so at most one f0
-    exists per d.
-    """
-    if beta1 < 1:
-        raise ValueError(f"beta1 must be positive, got {beta1}")
-    if d_max < 3:
-        raise ValueError(f"d_max must be at least 3, got {d_max}")
-    out = []
-    for d in range(3, d_max + 1):
-        f0 = _least_f0(beta1, d)
-        if (f0 - d - 1) * (f0 - d - 2) == beta1 * (d + 1) * (d + 2):
-            out.append(ParameterTriple(beta1, d, f0))
-    return out
-
-
-def _least_f0(beta1: int, d: int) -> int:
-    """The least f0 > d + 2 with (f0-d-1)(f0-d-2) >= beta1 (d+1)(d+2).
-
-    With m = f0 - d - 2 the condition reads m(m+1) >= t for
-    t = beta1 (d+1)(d+2).  The integer square root gives the least k >= 0
-    with k(k+1) >= t exactly, and m is that k, or 1 when k is 0.
-    """
-    t = beta1 * (d + 1) * (d + 2)
-    k = (isqrt(max(4 * t + 1, 1)) - 1) // 2
-    return max(k + (k * (k + 1) < t), 1) + d + 2
-
-
-def corollary_bound_check(n: int, d: int) -> bool:
-    """Whether C(n-d-1, 2) >= d^2 + 3d + 3; meaningful for d >= 4."""
-    if d < 4:
-        raise ValueError(f"d must be at least 4, got {d}")
-    return comb(max(n - d - 1, 0), 2) >= d * d + 3 * d + 3
-
-
 def is_critical(m: SimplicialComplex, facet_ids) -> bool:
     """Every component left after deleting the facet set is small.
 
@@ -195,9 +144,7 @@ def is_cover(m: SimplicialComplex, facet_ids) -> bool:
 
 
 def normalize_lemma_id(lemma_id: str) -> str:
-    lid = lemma_id.strip()
-    if lid.startswith("lemma-"):
-        lid = lid[len("lemma-"):]
+    lid = lemma_id.strip().removeprefix("lemma-")
     if lid not in LEMMA_IDS:
         raise UnknownLemmaError(f"unknown lemma id {lemma_id!r}")
     return lid
@@ -306,17 +253,16 @@ def _check_degree_three_cover(m, g, d, n) -> tuple:
     return False, {"t": sorted(t)}
 
 
-# lemma id -> check(m, g, d, n), which returns (holds, witness); the id is
-# written here only, and verify_lemma puts it on the report
-_LEMMA_CHECKS = {
-    "2.2": _check_two_connected,  # the facet graph is 2-connected
-    "2.3": _check_vertex_trees,  # each vertex star is a tree of f0 - d facets
-    "2.4": _check_counts,  # the node and edge count formulas
-    "2.5": _check_cycle_bound,  # f0 >= 2d + 1, with equality exactly for a cycle
-    "2.8": _check_path_lemma,  # bounded chain paths of facets
-    "2.9": _check_degree_three_cover,  # the degree->=3 facets cover the vertices
-}
-LEMMA_IDS = tuple(_LEMMA_CHECKS)
+# lemma id -> check(m, g, d, n), which returns (holds, witness), in the
+# order of LEMMA_IDS; verify_lemma puts the id on the report
+_LEMMA_CHECKS = dict(zip(LEMMA_IDS, (
+    _check_two_connected,  # the facet graph is 2-connected
+    _check_vertex_trees,  # each vertex star is a tree of f0 - d facets
+    _check_counts,  # the node and edge count formulas
+    _check_cycle_bound,  # f0 >= 2d + 1, with equality exactly for a cycle
+    _check_path_lemma,  # bounded chain paths of facets
+    _check_degree_three_cover,  # the degree->=3 facets cover the vertices
+), strict=True))
 
 
 def verify_lemma(m: SimplicialComplex, lemma_id: str) -> LemmaReport:
@@ -538,10 +484,10 @@ def uniqueness_reconstruction(mbar: SimplicialComplex) -> VertexBijection:
 
 # --- proof-chain audit ------------------------------------------------------
 #
-# corollary_bound_check (above), bound_chain_audit and theorem_argument_audit
-# check the paper's counting argument rather than answer a question about an
-# input file, so no CLI command calls them: they stay library-only, exercised
-# by tests/test_analysis.py.
+# bound_chain_audit and theorem_argument_audit, like
+# tightness.corollary_bound_check, check the paper's counting argument rather
+# than answer a question about an input file, so no CLI command calls them:
+# they stay library-only, exercised by tests/test_analysis.py.
 
 
 def bound_chain_audit(
@@ -562,7 +508,7 @@ def bound_chain_audit(
 
     ``contradiction`` is arithmetic alone: for d >= -1 and beta1 != 1 it
     equals ``beta1 <= 0 or (beta1 == 2 and d >= 2)``.  Write
-    f0 = m + d + 2 for the least f0 of :func:`_least_f0`, so m >= 1 is
+    f0 = m + d + 2 for the least f0 of :func:`.tightness._least_f0`, so m >= 1 is
     least with m(m+1) >= beta1 (d+1)(d+2), and the bound is
     B = 2(beta1 - 1)(d + 2).
 

@@ -13,6 +13,11 @@ restores the caller's setting afterwards: command data are tuples, sets
 and dicts of ints, which form no reference cycles, and the millions of
 short-lived face tuples of a large job would otherwise trigger collector
 passes that find nothing.
+
+``params`` solves the tightness equation alone and loads only
+:mod:`.tightness` and :mod:`.errors`; every other command reads or builds a
+complex and loads all the combinatorial layers when it runs (see
+:func:`_layers`).
 """
 
 from __future__ import annotations
@@ -23,37 +28,47 @@ import gc
 import json
 import sys
 
-from . import analysis, fct, homology, walkup
-from .complexes import (
-    SimplicialComplex,
-    boundary_complex,
-    f_vector,
-    is_neighborly,
-    is_pseudomanifold,
-    is_pure,
-)
-from .dualgraph import dual_graph, to_dot
 from .errors import LemmaHypothesisError, PreconditionError, TriManifoldError
+from .tightness import LEMMA_IDS, parameter_solutions
 
 
-def _read_input(path: str) -> SimplicialComplex:
-    return fct.read_fct(sys.stdin if path == "-" else path)
+@functools.cache
+def _layers():
+    """The six combinatorial layers, imported by the first call.
+
+    The one place where a command loads them.  ``params`` never calls it,
+    so its start imports none.  Every other command reads or builds a
+    complex and reaches the layers only through this call, which imports
+    all six whatever the command uses: one run of any such command leaves
+    the whole package loaded, as the benchmark's tracer needs before it
+    wraps each layer's functions.  Callers read a function from its module
+    when they call it, so a patched module attribute is the one that runs.
+    """
+    from types import SimpleNamespace
+
+    from . import analysis, complexes, dualgraph, fct, homology, walkup
+
+    return SimpleNamespace(analysis=analysis, complexes=complexes, dualgraph=dualgraph,
+                           fct=fct, homology=homology, walkup=walkup)
+
+
+def _read_input(path: str):
+    return _layers().fct.read_fct(sys.stdin if path == "-" else path)
 
 
 def _instance_name(path: str) -> str:
     return "stdin" if path == "-" else path
 
 
-def _emit_fct(x: SimplicialComplex, out: str | None) -> None:
-    fv = f_vector(x)
-    summary = (
-        f"dim {x.dim} f-vector {' '.join(map(str, fv.counts))} euler {fv.euler}"
-    )
+def _emit_fct(x, out: str | None) -> None:
+    layers = _layers()
+    fv = layers.complexes.f_vector(x)
+    summary = f"dim {x.dim} f-vector {' '.join(map(str, fv.counts))} euler {fv.euler}"
     if out is None or out == "-":
-        fct.write_fct(x, sys.stdout)
+        layers.fct.write_fct(x, sys.stdout)
         print(summary, file=sys.stderr)
     else:
-        fct.write_fct(x, out)
+        layers.fct.write_fct(x, out)
         print(summary)
 
 
@@ -61,14 +76,14 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _class_verdict(x: SimplicialComplex, kbar: bool) -> tuple:
-    report = walkup.class_membership(x)
+def _class_verdict(x, kbar: bool) -> tuple:
+    report = _layers().walkup.class_membership(x)
     fail = report.kbar_fail if kbar else report.k_fail
     return fail is None, None if fail is None else {"failing_vertex": fail}
 
 
-def _tight_verdict(x: SimplicialComplex) -> tuple:
-    tr = analysis.tight_neighborly_check(x)
+def _tight_verdict(x) -> tuple:
+    tr = _layers().analysis.tight_neighborly_check(x)
     return tr.satisfies_inequality, {
         "equality": tr.is_equality,
         "lhs": tr.lhs,
@@ -77,14 +92,13 @@ def _tight_verdict(x: SimplicialComplex) -> tuple:
     }
 
 
-# check name -> (holds, witness) on a complex.  Each entry looks its
-# function up when called, so a patched module attribute is the one that runs.
+# check name -> (holds, witness) on a complex
 _CHECKS = {
-    "pure": lambda x: (is_pure(x), None),
-    "pm": lambda x: (is_pseudomanifold(x), None),
-    "neighborly": lambda x: (is_neighborly(x), None),
-    "stacked-ball": lambda x: (walkup.is_stacked_ball(x), None),
-    "stacked-sphere": lambda x: (walkup.is_stacked_sphere(x), None),
+    "pure": lambda x: (_layers().complexes.is_pure(x), None),
+    "pm": lambda x: (_layers().complexes.is_pseudomanifold(x), None),
+    "neighborly": lambda x: (_layers().complexes.is_neighborly(x), None),
+    "stacked-ball": lambda x: (_layers().walkup.is_stacked_ball(x), None),
+    "stacked-sphere": lambda x: (_layers().walkup.is_stacked_sphere(x), None),
     "class-k": lambda x: _class_verdict(x, kbar=False),
     "class-kbar": lambda x: _class_verdict(x, kbar=True),
     "tight-neighborly": _tight_verdict,
@@ -92,7 +106,7 @@ _CHECKS = {
 CHECK_NAMES = tuple(_CHECKS)
 
 
-def _run_check(x: SimplicialComplex, name: str) -> dict:
+def _run_check(x, name: str) -> dict:
     """One verdict of the named check on ``x``."""
     try:
         holds, witness = _CHECKS[name](x)
@@ -107,10 +121,10 @@ def _check_name(name: str) -> str:
     return name
 
 
-def _run_lemma(x: SimplicialComplex, lid: str) -> dict:
+def _run_lemma(x, lid: str) -> dict:
     """One verdict of the lemma with canonical id ``lid`` on ``x``."""
     try:
-        rep = analysis.verify_lemma(x, lid)
+        rep = _layers().analysis.verify_lemma(x, lid)
         holds, witness = rep.holds, rep.witness
     except LemmaHypothesisError as exc:
         holds, witness = False, {"hypothesis_error": str(exc)}
@@ -125,17 +139,19 @@ def _parse_ids(option: str, text: str, canonical) -> list:
     return ids
 
 
-def _report(args, x: SimplicialComplex, ids: list, verdict) -> int:
+def _report(args, x, ids: list, verdict) -> int:
     """Write ``--dot``, print the rows ``verdict(x, id)``, return the exit code."""
     if args.dot:
+        dualgraph = _layers().dualgraph
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(dual_graph(x)))
+            fh.write(dualgraph.to_dot(dualgraph.dual_graph(x)))
     checks = [verdict(x, i) for i in ids]
     _emit_json({"instance": _instance_name(args.input), "checks": checks})
     return 0 if all(c["holds"] for c in checks) else 1
 
 
 def cmd_gen(args) -> int:
+    walkup = _layers().walkup
     if args.kind == "kuehnel-solid":
         x = walkup.kuehnel_solid(args.d)
     elif args.kind == "kuehnel-torus":
@@ -156,7 +172,7 @@ def cmd_check(args) -> int:
 
 def cmd_betti(args) -> int:
     x = _read_input(args.input)
-    bv = homology.betti_z2(x)
+    bv = _layers().homology.betti_z2(x)
     _emit_json(
         {
             "instance": _instance_name(args.input),
@@ -168,14 +184,12 @@ def cmd_betti(args) -> int:
 
 
 def cmd_params(args) -> int:
-    sols = analysis.parameter_solutions(args.beta1, args.dmax)
+    sols = parameter_solutions(args.beta1, args.dmax)
     _emit_json(
         {
             "beta1": args.beta1,
             "d_max": args.dmax,
-            "solutions": [
-                {"beta1": t.beta1, "d": t.d, "f0": t.f0} for t in sols
-            ],
+            "solutions": [t._asdict() for t in sols],
         }
     )
     return 0
@@ -183,14 +197,14 @@ def cmd_params(args) -> int:
 
 def cmd_verify(args) -> int:
     x = _read_input(args.input)
-    ids = _parse_ids("--lemmas", args.lemmas, analysis.normalize_lemma_id)
+    ids = _parse_ids("--lemmas", args.lemmas, _layers().analysis.normalize_lemma_id)
     return _report(args, x, ids, _run_lemma)
 
 
 def cmd_iso(args) -> int:
     a = _read_input(args.a)
     b = _read_input(args.b)
-    bij = analysis.are_isomorphic(a, b)
+    bij = _layers().analysis.are_isomorphic(a, b)
     _emit_json(
         {
             "isomorphic": bij is not None,
@@ -202,13 +216,13 @@ def cmd_iso(args) -> int:
 
 def cmd_bar(args) -> int:
     x = _read_input(args.input)
-    _emit_fct(walkup.bar_construction(x), args.output)
+    _emit_fct(_layers().walkup.bar_construction(x), args.output)
     return 0
 
 
 def cmd_boundary(args) -> int:
     x = _read_input(args.input)
-    bd = boundary_complex(x)
+    bd = _layers().complexes.boundary_complex(x)
     if bd.dim < 0:
         print("input error: the boundary has no vertices"
               " (the input is closed or a single point)", file=sys.stderr)
@@ -220,7 +234,7 @@ def cmd_boundary(args) -> int:
 def _vertex(token: str) -> int:
     """A vertex label read with the FCT grammar."""
     token = token.strip()
-    v = fct._label(token)
+    v = _layers().fct._label(token)
     if v is None or v < 0:
         raise ValueError(f"bad vertex label {token!r}")
     return v
@@ -247,6 +261,7 @@ def _parse_psi(text: str) -> dict:
 
 def cmd_handle(args) -> int:
     x = _read_input(args.input)
+    walkup = _layers().walkup
     hmap = walkup.HandleMap.create(
         _parse_vertex_list(args.sigma1),
         _parse_vertex_list(args.sigma2),
@@ -296,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--lemmas",
         default="2.2,2.3,2.4,2.5",
-        help="comma-separated ids from " + ",".join(analysis.LEMMA_IDS),
+        help="comma-separated ids from " + ",".join(LEMMA_IDS),
     )
     p.add_argument("--dot", help="also write the facet graph in DOT form")
     p.set_defaults(func=cmd_verify)

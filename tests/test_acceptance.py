@@ -14,7 +14,6 @@ from trimanifold.analysis import (
     are_isomorphic,
     is_cover,
     is_critical,
-    parameter_solutions,
     uniqueness_reconstruction,
     verify_lemma,
 )
@@ -34,6 +33,7 @@ from trimanifold.homology import (
     chain_complex,
     is_orientable,
 )
+from trimanifold.tightness import parameter_solutions
 from trimanifold.walkup import (
     HandleMap,
     bar_construction,

@@ -11,18 +11,15 @@ import helpers
 from helpers import small_complexes
 from trimanifold import analysis, homology, walkup
 from trimanifold.analysis import (
-    LEMMA_IDS,
     _check_path_lemma,
     _check_two_connected,
     _refine,
     VertexBijection,
     are_isomorphic,
     bound_chain_audit,
-    corollary_bound_check,
     is_cover,
     is_critical,
     normalize_lemma_id,
-    parameter_solutions,
     theorem_argument_audit,
     tight_neighborly_check,
     uniqueness_reconstruction,
@@ -42,6 +39,7 @@ from trimanifold.errors import (
     ReconstructionFailure,
     UnknownLemmaError,
 )
+from trimanifold.tightness import LEMMA_IDS, corollary_bound_check, parameter_solutions
 from trimanifold.walkup import kuehnel_solid, kuehnel_torus, random_stacked_ball
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import helpers
 import trimanifold
 from trimanifold import complexes, fct, homology, walkup
-from trimanifold.analysis import LEMMA_IDS, VertexBijection
+from trimanifold.analysis import VertexBijection
 from trimanifold.cli import CHECK_NAMES, build_parser, main
 from trimanifold.complexes import (
     SimplicialComplex,
@@ -25,6 +25,7 @@ from trimanifold.complexes import (
     from_facets,
     relabel_vertices,
 )
+from trimanifold.tightness import LEMMA_IDS
 from trimanifold.walkup import kuehnel_solid, kuehnel_torus, random_stacked_ball
 
 
@@ -774,7 +775,8 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     ("dualgraph", {"complexes", "errors"}),
     ("walkup", {"complexes", "dualgraph", "errors"}),
     ("homology", {"complexes", "dualgraph", "errors", "walkup"}),
-    ("analysis", {"complexes", "dualgraph", "errors", "homology", "walkup"}),
+    ("analysis", {"complexes", "dualgraph", "errors", "homology", "tightness", "walkup"}),
+    ("tightness", set()),
 ])
 def test_importing_a_layer_loads_only_the_layers_below_it(layer, below):
     # the package namespace binds nothing, so a layer pulls in what it
@@ -782,6 +784,72 @@ def test_importing_a_layer_loads_only_the_layers_below_it(layer, below):
     loaded = _loaded_by_importing(f"trimanifold.{layer}")
     assert {m.removeprefix("trimanifold.") for m in loaded
             if m.startswith("trimanifold.")} == below | {layer}
+
+
+def _subcommands() -> set:
+    return set(next(a for a in build_parser()._actions if a.dest == "command").choices)
+
+
+@pytest.fixture(scope="module")
+def one_call_per_subcommand(tmp_path_factory) -> dict:
+    """A valid argv of every subcommand, on files in a fresh directory."""
+    tmp = tmp_path_factory.mktemp("subcommands")
+    solid, sphere = tmp / "solid.fct", tmp / "sphere.fct"
+    fct.write_fct(kuehnel_solid(3), solid)
+    fct.write_fct(boundary_complex(helpers.path_ball(5, 11)), sphere)
+    out = str(tmp / "out.fct")
+    return {
+        "gen": ["gen", "kuehnel-torus", "--d", "2", "-o", out],
+        "check": ["check", str(solid), "--checks", "pure"],
+        "betti": ["betti", str(solid)],
+        "params": ["params", "--beta1", "1", "--dmax", "3"],
+        "verify": ["verify", str(solid), "--lemmas", "2.4"],
+        "iso": ["iso", str(solid), str(solid)],
+        "bar": ["bar", str(solid), "-o", out],
+        "boundary": ["boundary", str(solid), "-o", out],
+        "handle": ["handle", str(sphere), "--sigma1", "0,1,2,3,4",
+                   "--sigma2", "11,12,13,14,15",
+                   "--psi", "0:11,1:12,2:13,3:14,4:15", "-o", out],
+    }
+
+
+@pytest.mark.parametrize("command", sorted(
+    ["gen", "check", "betti", "params", "verify", "iso", "bar", "boundary", "handle"]))
+def test_one_call_of_a_subcommand_loads_the_package_modules_it_should(
+        one_call_per_subcommand, command):
+    # params solves the tightness equation alone and loads no layer; one call
+    # of any other command leaves every module of the package loaded, which
+    # the benchmark's tracer needs after its one plain pass
+    assert set(one_call_per_subcommand) == _subcommands()
+    argv = one_call_per_subcommand[command]
+    src = os.path.dirname(os.path.dirname(trimanifold.__file__))
+    child = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; from trimanifold import cli; code = cli.main(sys.argv[1:]); "
+         "print(code, *sys.modules, file=sys.stderr)", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    code, *loaded = child.stderr.splitlines()[-1].split()
+    assert code == "0", child.stderr
+    package = {m for m in loaded if m == "trimanifold" or m.startswith("trimanifold.")}
+    if command == "params":
+        assert package == {"trimanifold", "trimanifold.cli", "trimanifold.errors",
+                           "trimanifold.tightness"}
+    else:
+        here = Path(trimanifold.__file__).parent
+        assert package == {"trimanifold"} | {
+            f"trimanifold.{f.stem}" for f in here.glob("*.py") if f.stem != "__init__"}
+
+
+def test_help_lists_every_lemma_id_and_every_check_name(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, names in (("verify", LEMMA_IDS), ("check", CHECK_NAMES)):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        # argparse may wrap a long id list after a hyphen
+        text = "".join(capsys.readouterr().out.split())
+        assert ",".join(names) in text, command
 
 
 def test_usage_error_leaves_the_parser_usable(capsys, tmp_path):

@@ -4,6 +4,7 @@ the benchmark tracer's hold on the functions it reports by name."""
 import json
 
 from job_digests import DIGESTS, job_digests
+from trimanifold import cli
 from tracing import FUNCTION_METRICS, Tracer
 
 
@@ -17,9 +18,14 @@ def test_every_benchmark_job_matches_its_digest(tmp_path, monkeypatch):
     assert differ == [], f"{len(differ)} jobs differ from job_digests.json: {differ}"
 
 
-def test_the_tracer_wraps_every_function_the_benchmark_reports():
+def test_the_tracer_wraps_every_function_the_benchmark_reports(tmp_path, capsys):
     # a traced run reads each named function's spans; one dropped from the
-    # package or from its module's __all__ fails there with a KeyError
+    # package or from its module's __all__ fails there with a KeyError.  As
+    # in perfbench/run.py, one plain job runs before the tracer goes in:
+    # importing the CLI loads no layer, and a command other than params
+    # loads them all.
+    assert cli.main(["gen", "kuehnel-solid", "--d", "2", "-o", str(tmp_path / "s.fct")]) == 0
+    capsys.readouterr()
     tracer = Tracer()
     tracer.install()
     try:

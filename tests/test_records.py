@@ -7,11 +7,12 @@ import pickle
 
 import pytest
 
-from trimanifold.analysis import LemmaReport, ParameterTriple, TightnessReport, VertexBijection
+from trimanifold.analysis import LemmaReport, TightnessReport, VertexBijection
 from trimanifold.complexes import FVector, SimplicialComplex, _ridge_incidence, f_vector
 from trimanifold.dualgraph import DualGraph, dual_graph
 from trimanifold.errors import InadmissibleHandleError
 from trimanifold.homology import BettiVector, Z2ChainComplex, Z2Matrix
+from trimanifold.tightness import ParameterTriple
 from trimanifold.walkup import ClassReport, HandleMap, class_membership, kuehnel_torus
 
 # (record class, field values, another value for each field that can change
