@@ -166,12 +166,21 @@ def _peels_to_simplex_boundary(facets, apex: int | None = None) -> bool:
     or, with ``apex``, of the cone over S, whose apex is never peeled.  It
     is only read: the peel copies it into its own list, which gives each
     facet an id (its index there) and each seal a new id at its end.  The
-    vertex -> star map holds ids, not tuples, because CPython caches no
-    tuple hash, so every set operation on a tuple would hash its d + 1
-    labels again.  Whether a seal is already a facet is read from the set
-    of the tuples of every facet held so far, which no peel shrinks: a
-    peeled facet holds the peeled vertex, which no later facet and so no
-    later seal holds.  The facet count is kept apart, as an int.
+    stars are kept by id, not by tuple, because CPython caches no tuple
+    hash, so every set operation on a tuple would hash its d + 1 labels
+    again.  They are kept lazily:
+    - ``live[w]`` is the size of the current star of w;
+    - ``stars[w]`` holds every id of that star, and may hold dead ones: it
+      gets every id that ever contained w, and a try of w rewrites it to
+      the star;
+    - ``dead`` holds the ids of peeled facets.
+    A vertex is tried, and its list filtered, only when ``live`` says its
+    star has d + 1 facets.  The cost is linear: each id is appended once
+    per vertex it holds, and a filter drops each dead id it meets for
+    good.  Whether a seal is already a facet is read from the set of the
+    tuples of every facet held so far, which no peel shrinks: a peeled
+    facet holds the peeled vertex, which no later facet and so no later
+    seal holds.  The facet count is kept apart, as an int.
 
     A worklist holds the vertices to try, first all of them.  A vertex v
     of S is peeled when its star has d + 1 facets, their other vertices
@@ -182,7 +191,9 @@ def _peels_to_simplex_boundary(facets, apex: int | None = None) -> bool:
     (see the module docstring).  After a peel only the vertices of H go
     back on the worklist: a vertex becomes removable only when a peel
     changes its star or deletes its seal, and either way it shares a facet
-    with v, so it lies in H.
+    with v, so it lies in H.  Each w in H lies in every facet of the star
+    but the one that misses w, so its star loses d facets and gains the
+    seal: ``live[w]`` falls by d - 1 and the seal's id joins ``stars[w]``.
 
     The cone peels alike.  Taking the apex a out of each facet maps the
     facets of the cone onto those of S and the star of v in the cone onto
@@ -202,11 +213,13 @@ def _peels_to_simplex_boundary(facets, apex: int | None = None) -> bool:
     runs out before.
     """
     ids = list(facets)  # facet id -> vertex tuple
-    stars = defaultdict(set)
+    stars = defaultdict(list)
     for i, f in enumerate(ids):
         for w in f:
-            stars[w].add(i)
+            stars[w].append(i)
     stars.pop(apex, None)
+    live = dict(zip(stars, map(len, stars.values())))
+    dead = set()
     held = set(ids)
     count = len(ids)
     size = len(ids[0])  # vertices of a facet, and of a hull
@@ -214,23 +227,23 @@ def _peels_to_simplex_boundary(facets, apex: int | None = None) -> bool:
     todo = list(stars)
     while todo and count > star_size + 1:
         v = todo.pop()
-        star_v = stars.get(v, ())
-        if len(star_v) != star_size:
+        if live.get(v) != star_size:
             continue
+        stars[v] = star_v = [i for i in stars[v] if i not in dead]
         hull = set().union(*map(ids.__getitem__, star_v)) - {v}
         seal = tuple(sorted(hull))
         if len(hull) != size or seal in held:
             continue
         held.add(seal)
         count -= star_size - 1
+        dead.update(star_v)
         new = len(ids)
         ids.append(seal)
         hull.discard(apex)
         for w in hull:
-            star_w = stars[w]
-            star_w -= star_v
-            star_w.add(new)
-        del stars[v]
+            live[w] -= star_size - 2
+            stars[w].append(new)
+        del live[v], stars[v]
         todo.extend(hull)
     return count == star_size + 1
 
@@ -292,13 +305,14 @@ _memoised_report = class_membership.peek
 _store_report = class_membership.store
 
 # from this dimension up the class test and the counts cost less than the
-# middle face levels.  Measured (Python 3.11, 2-vCPU host, fastest of 25
-# fresh complexes, median of five runs): at dimension 7 on kuehnel_torus(7)
-# 2.07 against 2.24 ms and on kuehnel_solid(6) 0.34 against 0.36 ms; at 8
-# on kuehnel_torus(8) 3.07 against 5.93 ms and on kuehnel_solid(7) 0.41
-# against 0.75 ms; at 6 the levels win, 0.84 against 1.37 ms on
-# kuehnel_torus(6) and 0.14 against 0.26 ms on kuehnel_solid(5).  betti_z2
-# of a fresh kuehnel_torus(7) skips a 4.1 ms sweep
+# middle face levels.  Measured (Python 3.11, 2-vCPU host, pinned to one
+# CPU, fastest of 25 fresh complexes, median of seven runs): at dimension 7
+# on kuehnel_torus(7) 1.59 against 2.00 ms and on kuehnel_solid(6) 0.30
+# against 0.32 ms; at 8 on kuehnel_torus(8) 2.32 against 5.37 ms and on
+# kuehnel_solid(7) 0.38 against 0.69 ms; at 6 the levels win, 0.76
+# against 1.06 ms on kuehnel_torus(6) and 0.13 against 0.23 ms on
+# kuehnel_solid(5).  betti_z2 of a fresh kuehnel_torus(7) skips a 3.7 ms
+# sweep
 _ROUTE_MIN_DIM = 7
 
 

@@ -1,7 +1,6 @@
 import hashlib
 import random
 import tracemalloc
-from collections import defaultdict
 from itertools import combinations, product
 from math import comb
 from time import perf_counter
@@ -181,8 +180,26 @@ def test_stacked_sphere_agrees_with_search():
         x for _, x in helpers.corpus()
         if is_weak_pseudomanifold(x) and not boundary_complex(x).facets
     )
+    # stacked with a hub: the apex of the cone over a stacked ball lies in
+    # every facet but those of the ball
+    for d in (1, 2, 3):
+        for m in (1, 2, 3, 5, 8):
+            for seed in (0, 1):
+                ball = random_stacked_ball(d, m, seed=seed)
+                apex = max(ball.vertices) + 1
+                cases.append(boundary_complex(from_facets(f + (apex,) for f in ball.facets)))
+    # 3-spheres in class K, stacked only with no bistellar move (g2 = 0)
+    bistellar = {
+        helpers.bistellar_sphere(m, seed, moves): moves
+        for m in (6, 9, 12) for seed in (0, 1) for moves in range(m // 4 + 1)
+    }
+    cases.extend(bistellar)
     for s in cases:
         assert is_stacked_sphere(s) == helpers.stacked_sphere_by_search(s), s
+    for s, moves in bistellar.items():
+        assert is_stacked_sphere(s) == (moves == 0), s
+        assert class_membership(s) == helpers.class_membership_by_links(s), s
+        assert class_membership(s).k_fail is None, s
     for s in (OCTAHEDRON, stacked_once, two_tetra, sphere_and_tetra, *two_parts):
         assert not is_stacked_sphere(s)
 
@@ -212,6 +229,27 @@ def test_stacked_sphere_recognition_has_no_size_cliff():
     dt = perf_counter() - t0
     assert ok
     assert dt < 5.0, f"is_stacked_sphere took {dt:.2f} s, budget 5 s"
+
+
+def test_stacked_sphere_recognition_of_a_hub_has_no_size_cliff():
+    # the boundary of the cone over a stacked 2-ball: 40002 facets, 20002
+    # of them through the apex, whose star list every peel next to it
+    # grows; a peel that filtered that list on every pop of the apex would
+    # miss the budget (about 0.4 s for both on Python 3.11).  Beside a
+    # tetrahedron's boundary the apex is tried again and again once its
+    # star is down to d + 1 facets
+    ball = random_stacked_ball(2, 20000, seed=3)
+    apex = max(ball.vertices) + 1
+    hub = boundary_complex(from_facets(f + (apex,) for f in ball.facets))
+    tetra = helpers.shifted(boundary_complex(helpers.simplex(3)), apex + 1)
+    beside = from_facets(hub.facets + tetra.facets)
+    assert len(hub.facets) == 40002
+    assert sum(apex in f for f in hub.facets) == 20002
+    t0 = perf_counter()
+    answers = [is_stacked_sphere(hub), is_stacked_sphere(beside)]
+    dt = perf_counter() - t0
+    assert answers == [True, False]
+    assert dt < 2.0, f"is_stacked_sphere took {dt:.2f} s, budget 2 s"
 
 
 def test_stacked_sphere_builds_no_vertex_index():
@@ -267,11 +305,11 @@ def test_class_membership_reports_a_failure_after_a_passing_vertex():
     assert class_membership(CROSS_STACKED) == ClassReport(10, 0)
 
 
-class _TriedLog(defaultdict):
-    """A star map that records every vertex the peel tries."""
+class _TriedLog(dict):
+    """A live star-size map that records every vertex the peel tries."""
 
-    def __init__(self, factory):
-        super().__init__(factory)
+    def __init__(self, *args):
+        super().__init__(*args)
         self.tried = []
 
     def get(self, v, default=None):
@@ -280,15 +318,18 @@ class _TriedLog(defaultdict):
 
 
 def _logged_peels():
-    # each peel builds its star map as walkup's defaultdict, which the log
-    # swaps for a _TriedLog while that peel runs
+    # each peel builds its live star-size map with dict(...), which the log
+    # shadows in walkup with a _TriedLog while that peel runs; the peel calls
+    # dict nowhere else
     logs = []
     real = walkup._peels_to_simplex_boundary
 
     def logged(facets, apex=None):
-        log = _TriedLog(set)
-        logs.append((apex, log))
-        with mock.patch.object(walkup, "defaultdict", lambda factory: log):
+        def log(*args):
+            logs.append((apex, _TriedLog(*args)))
+            return logs[-1][1]
+
+        with mock.patch.object(walkup, "dict", log, create=True):
             return real(facets, apex)
 
     return logs, mock.patch.object(walkup, "_peels_to_simplex_boundary", logged)
