@@ -22,7 +22,6 @@ from .complexes import (
     SimplicialComplex,
     _memoised,
     _ridge_incidence,
-    _vertex_facets,
     is_pure,
 )
 from .errors import PreconditionError, UnknownNodeError
@@ -37,7 +36,6 @@ __all__ = [
     "is_two_connected",
     "components_minus",
     "high_degree_set",
-    "vertex_facet_subgraph",
     "to_dot",
 ]
 
@@ -198,14 +196,6 @@ def components_minus(g: DualGraph, removed) -> list:
 def high_degree_set(g: DualGraph) -> frozenset:
     """Nodes of degree three or more."""
     return frozenset(i for i in range(g.num_nodes) if len(g.adjacency[i]) >= 3)
-
-
-def vertex_facet_subgraph(x: SimplicialComplex, v: int) -> DualGraph:
-    """Subgraph of the facet graph induced on the facets containing ``v``."""
-    ids = _vertex_facets(x).get(v)
-    if not ids:
-        raise UnknownNodeError(f"vertex {v} occurs in no facet")
-    return dual_graph(x).induced(ids)
 
 
 def to_dot(g: DualGraph) -> str:

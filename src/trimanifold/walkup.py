@@ -48,7 +48,7 @@ from .complexes import (
     is_pure,
     is_weak_pseudomanifold,
 )
-from .dualgraph import is_tree, vertex_facet_subgraph
+from .dualgraph import dual_graph, is_tree
 from .errors import InadmissibleHandleError, PreconditionError
 
 __all__ = [
@@ -293,7 +293,7 @@ def class_membership(m: SimplicialComplex) -> ClassReport:
     kbar_fail = next((
         v for v, ids in vf.items()
         if d < 1 or len(nbr[v]) != len(ids) + d - 1
-        or not is_tree(vertex_facet_subgraph(m, v))
+        or not is_tree(dual_graph(m).induced(ids))
     ), None)
     return ClassReport(k_fail, kbar_fail)
 

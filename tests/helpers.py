@@ -472,31 +472,35 @@ def _stacked_2sphere_by_degree_three(triangles) -> bool:
     return len(nbr) == 4 and all(len(us) == 3 for us in nbr.values())
 
 
-def bistellar_sphere(m: int, seed: int, moves: int) -> SimplicialComplex:
-    """A PL 3-sphere in Walkup's class K with g2 = f1 - 4 f0 + 10 = ``moves``.
+def bistellar_sphere(m: int, seed: int, moves: int, d: int = 3) -> SimplicialComplex:
+    """A PL d-sphere with g2 = f1 - (d+1) f0 + C(d+2, 2) = ``moves``, in
+    Walkup's class K at d = 3.
 
-    Starts from the stacked sphere ``boundary_complex(random_stacked_ball(4,
-    m, seed))`` and makes ``moves`` seeded 2-3 moves: a triangle abc in the
-    facets abcx and abcy, with xy not an edge, is replaced by the edge xy,
-    so the two facets become xyab, xybc and xyac.  In lk x and lk y the move
-    cones over a triangle, which keeps them stacked; in lk a, lk b and lk c
-    it flips an edge, and the move is taken only when those three links
-    stay stacked.  f0 stays and f1 gains 1, so each move adds 1 to g2, and
-    for moves >= 1 the sphere is not stacked.  The triangle -> facets map,
-    the stars and the edges are kept up to date move by move, so a move
-    costs about the size of three links, not of the sphere.
+    Starts from the stacked sphere ``boundary_complex(random_stacked_ball(d
+    + 1, m, seed))`` and makes ``moves`` seeded bistellar moves: a ridge
+    sigma in the facets sigma + x and sigma + y, with xy not an edge, is
+    replaced by the edge xy, so the two facets become the d facets
+    (sigma - u) + x + y.  f0 stays and f1 gains 1, so each move adds 1 to
+    g2, and for moves >= 1 the sphere is not stacked (Kalai 1987).  At
+    d = 3 the move is a 2-3 move.  In lk x and lk y it cones over a
+    triangle, which keeps them stacked; in lk a, lk b and lk c it flips an
+    edge, and the move is taken only when those three links stay stacked.
+    At d >= 4 no link filter is applied: a d-sphere in class K is stacked
+    (Kalai 1987), so for moves >= 1 some link is not a stacked sphere.  The
+    ridge -> facets map, the stars and the edges are kept up to date move by
+    move, so a move costs about the size of d links, not of the sphere.
     """
     rng = random.Random(seed)
-    facets = list(boundary_complex(random_stacked_ball(4, m, seed)).facets)
+    facets = list(boundary_complex(random_stacked_ball(d + 1, m, seed)).facets)
     where = {f: i for i, f in enumerate(facets)}
     star: dict = {}
-    across: dict = {}  # triangle -> the facets through it
+    across: dict = {}  # ridge -> the facets through it
     edges = set()
     for f in facets:
         for v in f:
             star.setdefault(v, set()).add(f)
-        for tri in combinations(f, 3):
-            across.setdefault(tri, set()).add(f)
+        for ridge in combinations(f, d):
+            across.setdefault(ridge, set()).add(f)
         edges.update(combinations(f, 2))
 
     def swap(gone, new):
@@ -507,39 +511,39 @@ def bistellar_sphere(m: int, seed: int, moves: int) -> SimplicialComplex:
                 facets[i], where[last] = last, i
             for v in f:
                 star[v].discard(f)
-            for tri in combinations(f, 3):
-                across[tri].discard(f)
+            for ridge in combinations(f, d):
+                across[ridge].discard(f)
         for f in new:
             where[f] = len(facets)
             facets.append(f)
             for v in f:
                 star[v].add(f)
-            for tri in combinations(f, 3):
-                across.setdefault(tri, set()).add(f)
+            for ridge in combinations(f, d):
+                across.setdefault(ridge, set()).add(f)
 
     done = 0
     for _ in range(100 * moves + 100):
         if done == moves:
             break
         first = facets[rng.randrange(len(facets))]
-        x = first[rng.randrange(4)]
-        abc = tuple(v for v in first if v != x)
-        (other,) = across[abc] - {first}
-        (y,) = set(other) - set(abc)
+        x = first[rng.randrange(d + 1)]
+        sigma = tuple(v for v in first if v != x)
+        (other,) = across[sigma] - {first}
+        (y,) = set(other) - set(sigma)
         xy = (min(x, y), max(x, y))
         if xy in edges:
             continue
-        new = [tuple(sorted(xy + pair)) for pair in combinations(abc, 2)]
-        if not all(
+        new = [tuple(sorted(xy + rest)) for rest in combinations(sigma, d - 1)]
+        if d == 3 and not all(
             _stacked_2sphere_by_degree_three(
                 [tuple(u for u in f if u != v) for f in star[v] if f not in (first, other)]
                 + [tuple(u for u in f if u != v) for f in new if v in f]
             )
-            for v in abc
+            for v in sigma
         ):
             continue
         swap((first, other), new)
-        del across[abc]
+        del across[sigma]
         edges.add(xy)
         done += 1
     if done != moves:

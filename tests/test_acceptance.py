@@ -18,13 +18,14 @@ from trimanifold.analysis import (
     verify_lemma,
 )
 from trimanifold.complexes import (
+    _vertex_facets,
     boundary_complex,
     f_vector,
     is_neighborly,
     link,
     relabel_vertices,
 )
-from trimanifold.dualgraph import dual_graph, is_cycle, vertex_facet_subgraph
+from trimanifold.dualgraph import dual_graph, is_cycle
 from trimanifold.errors import InadmissibleHandleError
 from trimanifold.homology import (
     beta1_dual_formula,
@@ -110,7 +111,7 @@ def test_criterion_03_counting_lemmas():
         if not verify_lemma(solid, "2.3").holds:
             problems.append(f"d={d}: per-vertex trees rejected")
         for v in solid.vertices:
-            sub = vertex_facet_subgraph(solid, v)
+            sub = g.induced(_vertex_facets(solid)[v])
             if sub.num_nodes != n - big_d:
                 problems.append(f"d={d}: vertex {v} path has {sub.num_nodes} nodes")
                 break

@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 
 import helpers
 from helpers import small_complexes
-from trimanifold import analysis, homology, walkup
+from trimanifold import analysis, fct, homology, walkup
 from trimanifold.analysis import (
     _check_path_lemma,
     _check_two_connected,
@@ -30,6 +30,7 @@ from trimanifold.complexes import (
     _vertex_facets,
     boundary_complex,
     from_facets,
+    link,
     relabel_vertices,
 )
 from trimanifold.dualgraph import dual_graph, high_degree_set
@@ -40,7 +41,12 @@ from trimanifold.errors import (
     UnknownLemmaError,
 )
 from trimanifold.tightness import LEMMA_IDS, corollary_bound_check, parameter_solutions
-from trimanifold.walkup import kuehnel_solid, kuehnel_torus, random_stacked_ball
+from trimanifold.walkup import (
+    is_stacked_ball,
+    kuehnel_solid,
+    kuehnel_torus,
+    random_stacked_ball,
+)
 
 
 def test_tight_neighborly_equality_family():
@@ -160,6 +166,22 @@ def test_registry_lemmas_hold_on_cyclic_solids():
             report = verify_lemma(solid, lemma_id)
             assert report.holds, (d, lemma_id)
     assert verify_lemma(kuehnel_solid(3), "lemma-2.4").lemma_id == "2.4"
+
+
+@pytest.mark.parametrize("stored", [True, False], ids=["generated", "read"])
+def test_vertex_tree_lemma_against_the_links(stored):
+    # lemma 2.3 reads its tree half from the class report, which the
+    # generator stores and a read-in copy computes; the oracle builds each
+    # link and asks the facet-graph counts whether it is a stacked ball
+    for d in range(2, 10):
+        x = kuehnel_solid(d)
+        if not stored:
+            x = fct.loads(fct.dumps(x))
+        assert (walkup.class_membership.peek(x) is not None) == stored
+        assert verify_lemma(x, "2.3") == analysis.LemmaReport("2.3", True, None)
+        for v, ids in _vertex_facets(x).items():
+            assert len(ids) == x.num_vertices - x.dim, (d, v)
+            assert is_stacked_ball(link(x, (v,))), (d, v)
 
 
 def test_registry_rejects_instances_outside_the_class():

@@ -25,6 +25,7 @@ from trimanifold.complexes import (
     from_facets,
     relabel_vertices,
 )
+from trimanifold.dualgraph import DualGraph
 from trimanifold.tightness import LEMMA_IDS
 from trimanifold.walkup import kuehnel_solid, kuehnel_torus, random_stacked_ball
 
@@ -542,12 +543,13 @@ def test_json_output_is_deterministic(capsys, tmp_path):
 
 # the per-vertex call of the one class scan that passes: the torus peels
 # the cone over every link, the solid reads every link's facet graph as a
-# star
-@pytest.mark.parametrize("make, counted", [
-    pytest.param(kuehnel_torus, "_peels_to_simplex_boundary", id="kuehnel_torus"),
-    pytest.param(kuehnel_solid, "vertex_facet_subgraph", id="kuehnel_solid"),
+# star of its own facet graph
+@pytest.mark.parametrize("make, owner, counted", [
+    pytest.param(kuehnel_torus, walkup, "_peels_to_simplex_boundary", id="kuehnel_torus"),
+    pytest.param(kuehnel_solid, DualGraph, "induced", id="kuehnel_solid"),
 ])
-def test_check_runs_class_membership_once(capsys, tmp_path, monkeypatch, make, counted):
+def test_check_runs_class_membership_once(capsys, tmp_path, monkeypatch, make, owner,
+                                          counted):
     path = tmp_path / "x.fct"
     fct.write_fct(make(3), path)
     alone = [
@@ -557,8 +559,8 @@ def test_check_runs_class_membership_once(capsys, tmp_path, monkeypatch, make, c
     # one class test makes one such call per vertex, so f0 calls mean the
     # two checks classified the links once
     calls = []
-    real = getattr(walkup, counted)
-    monkeypatch.setattr(walkup, counted, lambda *a: calls.append(a) or real(*a))
+    real = getattr(owner, counted)
+    monkeypatch.setattr(owner, counted, lambda *a: calls.append(a) or real(*a))
     # and it builds no link
     built = []
     monkeypatch.setattr(complexes, "link", lambda *a: built.append(a))
@@ -574,11 +576,12 @@ def test_verify_runs_class_membership_once(capsys, tmp_path, monkeypatch):
     solid = kuehnel_solid(4)
     path = tmp_path / "solid.fct"
     fct.write_fct(solid, path)
-    # the class-K-bar scan reads one star per vertex of the solid
+    # the class-K-bar scan reads one star per vertex of the solid, and no
+    # other code of the run induces a subgraph: lemma 2.3 reads the scan's
+    # verdict instead of judging every star again
     calls = []
-    real = walkup.vertex_facet_subgraph
-    monkeypatch.setattr(walkup, "vertex_facet_subgraph",
-                        lambda m, v: calls.append(v) or real(m, v))
+    real = DualGraph.induced
+    monkeypatch.setattr(DualGraph, "induced", lambda g, ids: calls.append(ids) or real(g, ids))
     code, out, _ = run(capsys, "verify", str(path), "--lemmas", "2.2,2.3,2.4,2.5")
     # every lemma re-checks its hypothesis; the class report is computed once
     assert len(calls) == solid.num_vertices
@@ -938,10 +941,10 @@ def test_cli_never_fails_internally(faces, other, labels, data):
 def near_misses(draw):
     """Raw faces one mutation away from a generator output at d = 3..10:
     the Kühnel torus or solid, the boundary of a stacked (d+1)-ball or a
-    one-handle body, or at d = 3 a sphere of :func:`helpers.bistellar_sphere`,
-    with a facet dropped or added, two vertices merged, a shifted copy
-    sharing at most 3 vertices joined on, or its labels spread out and
-    permuted."""
+    one-handle body, or at d = 3..6 a sphere of
+    :func:`helpers.bistellar_sphere`, with a facet dropped or added, two
+    vertices merged, a shifted copy sharing at most 3 vertices joined on, or
+    its labels spread out and permuted."""
     d = draw(st.integers(3, 10))
     kind = draw(st.sampled_from(("torus", "solid", "sphere", "handle", "bistellar")))
     if kind == "torus":
@@ -955,7 +958,8 @@ def near_misses(draw):
         x = helpers.handle_body(d, 1, 3 * (d + 2))
     else:
         m = draw(st.integers(10, 40))
-        x = helpers.bistellar_sphere(m, draw(st.integers(0, 99)), draw(st.integers(1, m // 4)))
+        x = helpers.bistellar_sphere(m, draw(st.integers(0, 99)), draw(st.integers(1, m // 4)),
+                                     draw(st.integers(3, 6)))
     faces, labels = [list(f) for f in x.facets], list(x.vertices)
     mutation = draw(st.sampled_from(("drop", "add", "merge", "union", "relabel")))
     if mutation == "drop":

@@ -10,6 +10,7 @@ from trimanifold.complexes import (
     EMPTY,
     SimplicialComplex,
     _facet_graph_counts,
+    _vertex_facets,
     boundary_complex,
     from_facets,
     is_pure,
@@ -24,7 +25,6 @@ from trimanifold.dualgraph import (
     is_tree,
     is_two_connected,
     to_dot,
-    vertex_facet_subgraph,
 )
 from trimanifold.errors import PreconditionError, UnknownNodeError
 from trimanifold.walkup import (
@@ -229,7 +229,7 @@ def test_high_degree_set():
 def test_vertex_facet_subgraph_is_tree_on_solids():
     x = kuehnel_solid(3)
     for v in x.vertices:
-        sub = vertex_facet_subgraph(x, v)
+        sub = dual_graph(x).induced(_vertex_facets(x)[v])
         assert sub.num_nodes == x.num_vertices - x.dim
         assert is_tree(sub)
 
@@ -241,14 +241,9 @@ def test_vertex_facet_subgraphs_have_no_size_cliff():
     dual_graph(sphere)
     t0 = perf_counter()
     for v in sphere.vertices:
-        vertex_facet_subgraph(sphere, v)
+        dual_graph(sphere).induced(_vertex_facets(sphere)[v])
     dt = perf_counter() - t0
     assert dt < 1.0, f"per-vertex subgraphs took {dt:.2f} s, budget 1 s"
-
-
-def test_vertex_facet_subgraph_unknown_vertex():
-    with pytest.raises(UnknownNodeError):
-        vertex_facet_subgraph(helpers.simplex(2), 7)
 
 
 def test_induced_renumbers_densely():

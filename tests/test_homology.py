@@ -1,3 +1,5 @@
+import random
+from math import comb
 from time import perf_counter
 from unittest import mock
 
@@ -6,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from trimanifold import homology
-from trimanifold.analysis import tight_neighborly_check
+from trimanifold.analysis import are_isomorphic, tight_neighborly_check
 from trimanifold.complexes import (
     EMPTY,
     boundary_complex,
@@ -255,8 +257,10 @@ def test_betti_of_kuehnel_family_and_stacked_spheres_against_full_matrices():
 
 
 def _g2(x):
-    """g2 = f1 - 4 f0 + 10 of a 3-complex, its edges counted from the facets."""
-    return len(faces_of_dim(x, 1)) - 4 * x.num_vertices + 10
+    """g2 = f1 - (d+1) f0 + C(d+2, 2) of a d-complex, its edges counted
+    from the facets."""
+    d = x.dim
+    return len(faces_of_dim(x, 1)) - (d + 1) * x.num_vertices + comb(d + 2, 2)
 
 
 @settings(deadline=None)
@@ -284,6 +288,42 @@ def test_a_large_bistellar_sphere_after_the_class_test():
     assert class_membership(x) == ClassReport(None, 0)
     assert betti_z2(x).betti == (1, 0, 0, 1)
     assert tight_neighborly_check(x).beta1 == 0
+
+
+def _relabelled(x, seed):
+    labels = list(x.vertices)
+    random.Random(seed).shuffle(labels)
+    return relabel_vertices(x, {v: 3 * w + 1 for v, w in zip(x.vertices, labels)})
+
+
+@settings(deadline=None)
+@given(st.integers(4, 6), st.integers(6, 24), st.integers(0, 99), st.data())
+def test_bistellar_spheres_of_dimension_four_to_six(d, m, seed, data):
+    # every answer is known in advance: a PL d-sphere with g2 = moves, which
+    # is stacked, and at d >= 4 in class K, exactly when no move was made
+    moves = data.draw(st.integers(0, m // 4))
+    x = helpers.bistellar_sphere(m, seed, moves, d)
+    want = (1,) + (0,) * (d - 1) + (1,)
+    assert x.dim == d and _g2(x) == moves
+    assert helpers.betti_by_matrices(x) == want
+    assert betti_z2(x).betti == want
+    assert is_stacked_sphere(x) == (moves == 0)
+    assert (class_membership(x).k_fail is None) == (moves == 0)
+    assert class_membership(x).kbar_fail is not None
+    y = _relabelled(x, seed)
+    assert are_isomorphic(x, y).maps_complex(x, y)
+
+
+def test_a_large_bistellar_four_sphere_has_no_size_cliff():
+    # 12602 facets; the answers take about 0.22 s (Python 3.11, 2-vCPU host)
+    x = helpers.bistellar_sphere(3000, 1, 300, 4)
+    t0 = perf_counter()
+    assert len(x.facets) == 12602 and _g2(x) == 300
+    assert not is_stacked_sphere(x)
+    assert class_membership(x).k_fail is not None
+    assert betti_z2(x).betti == (1, 0, 0, 0, 1)
+    dt = perf_counter() - t0
+    assert dt < 2.0, f"a 12602-facet bistellar 4-sphere took {dt:.2f} s, budget 2 s"
 
 
 def test_betti_of_kuehnel_torus_12_within_budget():
