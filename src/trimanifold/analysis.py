@@ -223,6 +223,7 @@ def _check_path_lemma(m, g, d, n) -> tuple:
             while nxt is not None:
                 diff = set(g.facets[path[-1]]) - set(g.facets[nxt])
                 if len(diff) != 1:
+                    # dual_graph: adjacent facets of a pure complex share all but one vertex
                     raise AssertionError("adjacent facets differ in one vertex")
                 v = diff.pop()
                 clause = (

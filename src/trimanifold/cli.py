@@ -8,6 +8,14 @@ output when the text goes to a file.  Exit codes: 0 when everything
 requested holds, 1 when some requested check fails, 2 for unusable
 input, 3 for an internal invariant violation.
 
+JSON replies are written by :func:`_emit_json`, ``json.dumps(payload,
+indent=2)`` and a newline, with one exception: the ``iso`` reply for a
+found bijection, two labels per vertex, goes through one ``%d`` line
+template per pair, formatted once with every label
+(:func:`_emit_bijection`), and its bytes are those :func:`_emit_json`
+would write.  With an indent, json runs its pure-Python encoder: 0.6 ms
+for a reply of 306 pairs, against 0.07 ms for the template.
+
 :func:`main` pauses the cyclic garbage collector while a command runs and
 restores the caller's setting afterwards: command data are tuples, sets
 and dicts of ints, which form no reference cycles, and the millions of
@@ -27,6 +35,7 @@ import functools
 import gc
 import json
 import sys
+from itertools import chain, repeat
 
 from .errors import LemmaHypothesisError, PreconditionError, TriManifoldError
 from .tightness import LEMMA_IDS, parameter_solutions
@@ -201,17 +210,30 @@ def cmd_verify(args) -> int:
     return _report(args, x, ids, _run_lemma)
 
 
+# one pair of an iso reply, as json.dumps(..., indent=2) lays it out
+_PAIR = "    [\n      %d,\n      %d\n    ]"
+
+
+def _emit_bijection(pairs: tuple) -> None:
+    """Write the ``iso`` reply for a found bijection, the bytes of
+    ``_emit_json({"isomorphic": True, "bijection": [list(p) for p in
+    pairs]})``: one ``%d`` template per pair, joined and formatted once with
+    every label, as :func:`.fct.dumps` writes facets (``%d`` writes an int
+    as json does).  No pairs give ``[]``, as json writes an empty list."""
+    rows = ",\n".join(repeat(_PAIR, len(pairs))) % tuple(chain.from_iterable(pairs))
+    sys.stdout.write('{\n  "isomorphic": true,\n  "bijection": '
+                     + (f"[\n{rows}\n  ]" if pairs else "[]") + "\n}\n")
+
+
 def cmd_iso(args) -> int:
     a = _read_input(args.a)
     b = _read_input(args.b)
     bij = _layers().analysis.are_isomorphic(a, b)
-    _emit_json(
-        {
-            "isomorphic": bij is not None,
-            "bijection": [list(p) for p in bij.pairs] if bij else None,
-        }
-    )
-    return 0 if bij is not None else 1
+    if bij is None:
+        _emit_json({"isomorphic": False, "bijection": None})
+        return 1
+    _emit_bijection(bij.pairs)
+    return 0
 
 
 def cmd_bar(args) -> int:
@@ -271,6 +293,16 @@ def cmd_handle(args) -> int:
     return 0
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Help text wrapped at spaces only: argparse's default also breaks
+    after a hyphen, which split ``stacked-sphere`` across two lines."""
+
+    def _split_lines(self, text, width):
+        import textwrap
+
+        return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it
@@ -289,10 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="FCT destination, default stdout")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("check", help="run predicate checks, JSON verdicts")
+    p = sub.add_parser("check", help="run predicate checks, JSON verdicts",
+                       formatter_class=_HelpFormatter)
     p.add_argument("input", help="FCT path or - for stdin")
     p.add_argument(
-        "--checks", required=True, help="comma-separated: " + ",".join(CHECK_NAMES)
+        "--checks", required=True, help="comma-separated: " + ", ".join(CHECK_NAMES)
     )
     p.add_argument("--dot", help="also write the facet graph in DOT form")
     p.set_defaults(func=cmd_check)
@@ -306,12 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmax", type=int, required=True)
     p.set_defaults(func=cmd_params)
 
-    p = sub.add_parser("verify", help="structural lemma checks")
+    p = sub.add_parser("verify", help="structural lemma checks",
+                       formatter_class=_HelpFormatter)
     p.add_argument("input")
     p.add_argument(
         "--lemmas",
         default="2.2,2.3,2.4,2.5",
-        help="comma-separated ids from " + ",".join(LEMMA_IDS),
+        help="comma-separated ids from " + ", ".join(LEMMA_IDS),
     )
     p.add_argument("--dot", help="also write the facet graph in DOT form")
     p.set_defaults(func=cmd_verify)

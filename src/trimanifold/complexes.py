@@ -216,12 +216,16 @@ def from_facets(faces: Iterable[Iterable[int]]) -> SimplicialComplex:
     return _from_canonical(canon)
 
 
-def _from_canonical(canon: set) -> SimplicialComplex:
-    """The complex generated by ``canon``, a set of faces that are already
-    sorted tuples of distinct non-negative int labels, without ``()``.
+def _from_canonical(canon: set | dict) -> SimplicialComplex:
+    """The complex generated by ``canon``, a collection of distinct faces
+    (a set, or the dict of :func:`.fct.loads`, whose keys keep line order)
+    that are already sorted tuples of distinct non-negative int labels,
+    without ``()``.
 
     Faces of one size cannot contain one another, so such input is
-    returned sorted at once.
+    returned sorted at once, taken in the order ``canon`` holds it: the
+    faces of canonical FCT arrive in lexicographic order, and the sort
+    finds one run in linear time.
 
     Input of exactly two sizes k and k - 1, the shape of noisy FCT, is
     absorbed through the ridge index: a face one vertex short of size k

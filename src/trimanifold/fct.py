@@ -28,12 +28,21 @@ the lines are read again one token at a time.  That replay raises
 :class:`~trimanifold.errors.FctFormatError` for the first token that is
 not a label or is negative, naming its 1-based line; when every token is
 a label (``-0``, or text split by non-ASCII whitespace), it too yields
-sorted faces.  Either set goes straight to the absorption step,
-:func:`~trimanifold.complexes._from_canonical`, which neither checks
-labels nor sorts faces again.  Noisy text, facets with stray ridges and
-duplicates, holds faces of two sizes; its ridges are absorbed through
-the ridge index of the facets, which the complex keeps for the readers
-that need it next.  The lines are dropped before that index is built.
+sorted faces.
+
+Both readers keep line order.  The faces are the keys of a dict, each
+placed at its first occurrence: in line order throughout for the replay,
+in line order within each width class of a block for the one pass, whose
+block goes class by class, narrowest first.  That dict goes straight to
+the absorption step, :func:`~trimanifold.complexes._from_canonical`,
+which neither checks labels nor sorts a face again.  Canonical text holds
+one facet size in lexicographic order, so it arrives presorted, and the
+one sort of its facets finds a single run and takes linear time; faces
+read into a set would come back in hash order and pay a full tuple sort.
+Noisy text, facets with stray ridges and duplicates, holds faces of two
+sizes; its ridges are absorbed through the ridge index of the facets,
+which the complex keeps for the readers that need it next.  The lines
+are dropped before that index is built.
 
 Writers emit facets in lexicographic order with no trailing whitespace,
 so equal complexes serialise to identical bytes.
@@ -43,7 +52,7 @@ from __future__ import annotations
 
 import io
 import os
-from itertools import chain, groupby
+from itertools import chain, groupby, repeat
 from operator import lt
 from typing import TextIO
 
@@ -67,7 +76,7 @@ def loads(text: str) -> SimplicialComplex:
             pass
     if canon is None:
         canon = _faces_by_line(bodies)
-    canon.discard(())
+    canon.pop((), None)
     del lines, bodies  # not held alongside the ridge index of absorption
     try:
         return _from_canonical(canon)
@@ -84,11 +93,12 @@ def _unsigned_ascii(bodies: list) -> bool:
     return text.isascii() and not ("_" in text or "+" in text or "-" in text)
 
 
-def _faces_by_width(bodies: list) -> set:
+def _faces_by_width(bodies: list) -> dict:
     """The faces on the comment-stripped lines ``bodies`` as sorted tuples,
-    read ``_BLOCK`` lines at a time, one ``int`` pass per width class of a
-    block; ``ValueError`` when ``int`` refuses a token."""
-    faces = set()
+    the keys of a dict in first-occurrence order, read ``_BLOCK`` lines at
+    a time, one ``int`` pass per width class of a block, narrowest first;
+    ``ValueError`` when ``int`` refuses a token."""
+    faces = {}
     for start in range(0, len(bodies), _BLOCK):
         rows = sorted(map(str.split, bodies[start:start + _BLOCK]), key=len)
         for width, group in groupby(rows, len):
@@ -98,7 +108,7 @@ def _faces_by_width(bodies: list) -> set:
                 cut = list(map(tuple, map(sorted, cut)))
                 if not _increasing(cut):  # some line repeats a label
                     cut = [tuple(sorted(set(f))) for f in cut]
-            faces.update(cut)
+            faces.update(zip(cut, repeat(None)))
     return faces
 
 
@@ -109,11 +119,12 @@ def _increasing(cut: list) -> bool:
     return all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))
 
 
-def _faces_by_line(bodies: list) -> set:
+def _faces_by_line(bodies: list) -> dict:
     """The faces on the comment-stripped lines ``bodies`` as sorted tuples,
-    read one line and one token at a time: the first token that is not a
-    label, or is negative, raises :class:`FctFormatError` naming its line."""
-    faces = set()
+    the keys of a dict in first-occurrence order, read one line and one
+    token at a time: the first token that is not a label, or is negative,
+    raises :class:`FctFormatError` naming its line."""
+    faces = {}
     for lineno, body in enumerate(bodies, start=1):
         labels = set()
         for token in body.split():
@@ -123,7 +134,7 @@ def _faces_by_line(bodies: list) -> set:
             if v < 0:
                 raise FctFormatError(lineno, f"negative vertex label {v}")
             labels.add(v)
-        faces.add(tuple(sorted(labels)))
+        faces.setdefault(tuple(sorted(labels)))
     return faces
 
 

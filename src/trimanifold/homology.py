@@ -264,6 +264,7 @@ def _class_betti(x: SimplicialComplex) -> tuple | None:
     step = comb(len(f) + 1, 2)  # C(d+2, 2)
     k, rest = divmod(f[1] - len(f) * f[0] + c * step, step)
     if rest:
+        # Kalai 1987 (module docstring): g2 = C(d+2, 2) k per component of K(d), d >= 4
         raise AssertionError("g2 is not a multiple of C(d+2, 2)")
     return (c, k) + (0,) * (len(f) - 4) + (k, c)
 

@@ -365,6 +365,7 @@ def _stacked_link_counts(m: SimplicialComplex):
     for i, (a, b) in enumerate(_stacked_counts(d - 1, sphere)):
         f, rest = divmod(a * degrees + b * f0, i + 2)
         if rest:
+            # double counting: (j+1) f_j = sum of f_{j-1}(lk v), each link stacked
             raise AssertionError(f"f_{i + 1} from the vertex links is not an integer")
         counts.append(f)
     return sphere, tuple(counts)
@@ -566,9 +567,11 @@ def handle_addition(x: SimplicialComplex, h: HandleMap) -> SimplicialComplex:
     for f in facetset - {h.sigma1, h.sigma2}:
         g = tuple(sorted(psi.get(v, v) for v in f))
         if len(set(g)) != len(g):
+            # admissibility: matched vertices are not adjacent, so no facet holds both
             raise AssertionError("identification collapsed a facet")
         new_facets.add(g)
     if len(new_facets) != len(facetset) - 2:
+        # admissibility: matched vertices share no neighbour, so facets keep distinct images
         raise AssertionError("identification merged two facets")
     return _from_canonical(new_facets)
 

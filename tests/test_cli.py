@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 import trimanifold
-from trimanifold import complexes, fct, homology, walkup
+from trimanifold import cli, complexes, fct, homology, walkup
 from trimanifold.analysis import VertexBijection
 from trimanifold.cli import CHECK_NAMES, build_parser, main
 from trimanifold.complexes import (
@@ -440,12 +441,34 @@ def test_iso_exit_codes(capsys, tmp_path):
     fct.write_fct(boundary_complex(helpers.star_ball(3, 4)), b)
     code, out, _ = run(capsys, "iso", str(a), str(b))
     assert code == 1
-    assert json.loads(out) == {"isomorphic": False, "bijection": None}
+    assert out == '{\n  "isomorphic": false,\n  "bijection": null\n}\n'
 
     code, out, _ = run(capsys, "iso", str(a), str(a))
     assert code == 0
     payload = json.loads(out)
     assert payload["isomorphic"] and len(payload["bijection"]) == 7
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
+def _bijection_reply(pairs) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit_bijection(pairs)
+    return buf.getvalue()
+
+
+@given(st.lists(st.tuples(st.integers(0, 10**12), st.integers(0, 10**12)),
+                min_size=1, max_size=500))
+def test_iso_reply_is_the_bytes_json_writes(pairs):
+    want = json.dumps({"isomorphic": True, "bijection": [list(p) for p in pairs]}, indent=2)
+    assert _bijection_reply(tuple(pairs)) == want + "\n"
+
+
+def test_an_empty_bijection_is_written_as_json_writes_it():
+    # are_isomorphic never returns one, as no FCT input is empty
+    reply = _bijection_reply(())
+    assert reply == '{\n  "isomorphic": true,\n  "bijection": []\n}\n'
+    assert reply == json.dumps({"isomorphic": True, "bijection": []}, indent=2) + "\n"
 
 
 def test_bar_and_boundary_roundtrip(capsys, tmp_path):
@@ -845,14 +868,17 @@ def test_one_call_of_a_subcommand_loads_the_package_modules_it_should(
 
 
 def test_help_lists_every_lemma_id_and_every_check_name(capsys, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-    for command, names in (("verify", LEMMA_IDS), ("check", CHECK_NAMES)):
-        with pytest.raises(SystemExit) as info:
-            main([command, "--help"])
-        assert info.value.code == 0
-        # argparse may wrap a long id list after a hyphen
-        text = "".join(capsys.readouterr().out.split())
-        assert ",".join(names) in text, command
+    for columns in ("60", "80", "100"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for command, names in (("verify", LEMMA_IDS), ("check", CHECK_NAMES)):
+            with pytest.raises(SystemExit) as info:
+                main([command, "--help"])
+            assert info.value.code == 0
+            out = capsys.readouterr().out
+            # each name whole on one line: none broken at a hyphen
+            words = {w for line in out.splitlines() for w in re.split(r"[\s,]+", line)}
+            assert set(names) <= words, (command, columns, set(names) - words)
+            assert ", ".join(names) in " ".join(out.split()), command
 
 
 def test_usage_error_leaves_the_parser_usable(capsys, tmp_path):

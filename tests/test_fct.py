@@ -90,14 +90,14 @@ _NOT_LABELS = ["x", "1.5", "-", "--1", "0x1", "1e3", "1-2", "\u00e9", "9" * 5000
 
 
 @st.composite
-def noisy_fct(draw):
+def noisy_fct(draw, bad_tokens=2):
     """FCT text of a small complex with noise: shuffled duplicates, absorbed
     sub-faces, lines that repeat a label (some spelled with leading zeros,
     ``7 007``), so that a width class holds lines with and without a
     repeat, comments (non-ASCII, ``_`` and ``+`` among them), blank
     lines, runs of spaces, tabs, form feeds and U+2028, LF, CRLF or CR
     ends, and on a few random lines a token that is not a label or is
-    negative."""
+    negative (at most ``bad_tokens`` of them)."""
     x = draw(helpers.small_complexes())
     rng = draw(st.randoms(use_true_random=False))
     faces = list(x.facets)
@@ -118,7 +118,7 @@ def noisy_fct(draw):
     ]
     lines += rng.choices(["# comment", "", "   ", "\t", "#\u0663 -1"], k=rng.randrange(4))
     rng.shuffle(lines)
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, bad_tokens))):
         token = draw(st.sampled_from([*_NOT_LABELS, "-3", "-12", "-0"]))
         i = rng.randrange(len(lines))
         lines[i] = f"{token} {lines[i]}"
@@ -167,6 +167,31 @@ def test_replay_reads_like_the_line_parser(x, rng):
     ]
     text = "\n".join(lines) + "\n1\u3000-0\n"
     assert fct.loads(text) == helpers.loads_by_lines(text)
+
+
+def _bodies(text):
+    """The comment-stripped lines of ``text``, as :func:`fct.loads` cuts them."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return [raw.split("#", 1)[0] for raw in lines]
+
+
+@given(noisy_fct(bad_tokens=0), st.integers(1, 4))
+@example("2 1\n0 1 2\n1 2\n3\n1 2 0\n\n2 01 1\n", 2)
+def test_readers_keep_first_occurrence_order(text, block):
+    # each face is a key of the reader's dict at its first line: in line
+    # order for the replay, and for the one pass in line order within each
+    # width class of a block, the narrowest class first.  Runs of spaces,
+    # tabs and U+2028 are folded into one space so that the one pass runs.
+    # A blank line gives () in the replay and nothing in the one pass
+    bodies = [" ".join(body.split()) for body in _bodies(text)]
+    faces = [tuple(sorted(set(map(int, body.split())))) for body in bodies]
+    first = sorted(range(len(bodies)), key=lambda i: (i // block, len(bodies[i].split())))
+    assert list(fct._faces_by_line(bodies)) == list(dict.fromkeys(faces))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fct, "_BLOCK", block)
+        assert fct._unsigned_ascii(bodies)
+        by_width = list(dict.fromkeys(faces[i] for i in first if faces[i]))
+        assert list(fct._faces_by_width(bodies)) == by_width
 
 
 def test_loads_rejects_empty_input():
@@ -258,11 +283,28 @@ def _noisy(x, rng, absorbed):
 
 
 def test_noisy_text_loads_like_plain_text():
-    x = random_stacked_ball(3, 300, seed=5)
-    plain = fct.dumps(x)
-    noisy = _noisy(x, random.Random(5), absorbed=900)
-    assert fct.loads(noisy) == fct.loads(plain) == x
-    assert fct.dumps(fct.loads(noisy)) == plain
+    # canonical, shuffled and noisy text, with faces of two sizes and of
+    # four, read by the one pass and by the replay; canonical text reaches
+    # the absorption step in facet order, shuffled text in its line order
+    for m in (300, 3000):
+        x = random_stacked_ball(3, m, seed=5)
+        plain = fct.dumps(x)
+        lines = plain.splitlines(keepends=True)
+        random.Random(5).shuffle(lines)
+        texts = {
+            "canonical": plain,
+            "shuffled": "".join(lines),
+            "two sizes": _with_ridges(x, random.Random(5)),
+            "four sizes": _noisy(x, random.Random(5), absorbed=3 * m),
+        }
+        for kind, text in texts.items():
+            assert fct.loads(text) == x, (m, kind)
+            assert fct.dumps(fct.loads(text)) == plain, (m, kind)
+            assert from_facets(fct._faces_by_line(_bodies(text))) == x, (m, kind)
+        for kind in ("canonical", "shuffled"):
+            order = [tuple(map(int, line.split())) for line in texts[kind].splitlines()]
+            for read in (fct._faces_by_width, fct._faces_by_line):
+                assert [f for f in read(_bodies(texts[kind])) if f] == order, (m, kind)
 
 
 def test_noisy_loads_has_no_size_cliff():
